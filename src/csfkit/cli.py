@@ -3,8 +3,8 @@
 Subcommands: csf, equal, decompose, make-pair, theta, reconstruct, search.
 Exit codes: 0 success (or EQUAL), 1 polynomials differ, 2 usage error,
 3 data error, 4 resource limit.  All stdout output is deterministic;
-timing diagnostics go to stderr.  CSFKIT_MAX_EDGES overrides the subset
-enumeration cap.
+timing diagnostics go to stderr.  CSFKIT_MAX_EDGES overrides the edge cap
+on CSF computations, which is checked before the CSF kernels' own work limit.
 """
 
 from __future__ import annotations
@@ -31,6 +31,8 @@ def _enumeration_cap(explicit: int | None = None) -> int:
     if explicit is not None:
         return explicit
     env = os.environ.get("CSFKIT_MAX_EDGES")
+    if env and not env.strip().isdecimal():
+        raise CsfkitError(f"CSFKIT_MAX_EDGES must be a nonnegative integer, got {env!r}")
     return int(env) if env else DEFAULT_MAX_EDGES
 
 

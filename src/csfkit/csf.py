@@ -1,9 +1,16 @@
 """Chromatic symmetric functions in the power-sum basis.
 
-X_G is expanded by enumerating every edge subset S and crediting the type of
-the spanning subgraph (V, S) with sign (-1)^|S|.  Coefficients are exact
-Python ints, so equality checks are never approximate.  The enumeration is
-capped (default 30 edges) and refuses oversized inputs instead of truncating.
+X_G is the product of its components' expansions.  Grouping edge subsets by
+the vertex partition they induce gives X_G = sum over partitions pi of V into
+connected blocks of prod_{B in pi} c(B) p_lambda(pi), where c(B) is the signed
+count of connected spanning edge subsets of G[B] (Stanley 1995, Thm 2.6).
+Each component gets one exact kernel, picked by its cyclomatic number r: a
+rooted tree DP for r = 0, the same DP with one cycle edge dropped for r = 1,
+and a set-partition DP over vertex bitmasks for r >= 2.  No kernel visits
+edge subsets.  Size multisets are carried as integers with one base-(n+1)
+digit per part size, so merging two is an addition; coefficients are exact
+Python ints.  Oversized inputs are refused up front, by the edge cap
+(default 30) and then by the r >= 2 kernel's work limit.
 """
 
 from __future__ import annotations
@@ -12,7 +19,7 @@ from dataclasses import dataclass
 from math import comb
 
 from .errors import ResourceLimitError
-from .graph import Graph
+from .graph import Graph, _cycle_vertices, connected_components
 from .partitions import Partition, parse_partition_key, partition_key
 
 DEFAULT_MAX_EDGES = 30
@@ -57,56 +64,148 @@ class PowerSumPolynomial:
         return cls(n, terms)
 
 
-def _subset_type_terms(n: int, edges: tuple[tuple[int, int], ...],
-                       lo: int, hi: int) -> dict[Partition, int]:
-    """Signed type counts over subset masks in [lo, hi).
+def _sparse_terms(adj, root: int, tracked: int | None, pw: list[int]) -> dict[int, int]:
+    """Tree component (tracked None), or unicyclic with root-tracked on the cycle.
 
-    Each mask gets a fresh union-find; disjoint mask ranges produce maps that
-    merge by coefficient addition.
+    A rooted DP over the tree left once the edge root-tracked is dropped.  A
+    state is (root's component size, t, code of the closed component sizes)
+    -> signed subset count, where t is 0 when nothing is tracked, -1 while the
+    tracked vertex shares the root's component, and the size of its component
+    once that closed.  Taking the dropped edge fuses those two components and
+    flips the sign, which cancels every state with t == -1.
     """
-    eu = [u for u, _ in edges]
-    ev = [v for _, v in edges]
-    terms: dict[Partition, int] = {}
-    get = terms.get
-    vrange = range(n)
-    for mask in range(lo, hi):
-        parent = list(vrange)
-        size = [1] * n
-        bits = mask
-        while bits:
-            low = bits & -bits
-            bits ^= low
-            i = low.bit_length() - 1
-            u = eu[i]
-            while parent[u] != u:
-                parent[u] = parent[parent[u]]
-                u = parent[u]
-            v = ev[i]
-            while parent[v] != v:
-                parent[v] = parent[parent[v]]
-                v = parent[v]
-            if u != v:
-                if size[u] < size[v]:
-                    u, v = v, u
-                parent[v] = u
-                size[u] += size[v]
-        key = tuple(sorted((size[i] for i in vrange if parent[i] == i), reverse=True))
-        if mask.bit_count() & 1:
-            terms[key] = get(key, 0) - 1
-        else:
-            terms[key] = get(key, 0) + 1
+    order, parent = [root], {root: -1}
+    for x in order:
+        for y in adj[x]:
+            if y not in parent and (x, y) != (root, tracked):
+                parent[y] = x
+                order.append(y)
+    states: dict[int, dict] = {}
+    for v in reversed(order):
+        mine = {(1, -1 if v == tracked else 0, 0): 1}
+        for c in adj[v]:
+            if parent.get(c) != v:
+                continue
+            child, merged = states.pop(c).items(), {}
+            get = merged.get
+            for (sv, tv, pv), av in mine.items():
+                for (sc, tc, pc), ac in child:
+                    w, p = av * ac, pv + pc
+                    # leaving the edge v-c out closes the child's component
+                    key = (sv, sc, p) if tc == -1 else (sv, tv or tc, p + pw[sc])
+                    merged[key] = get(key, 0) + w
+                    key = (sv + sc, tv or tc, p)
+                    merged[key] = get(key, 0) - w
+            mine = merged
+        states[v] = mine
+    terms: dict[int, int] = {}
+    for (sr, t, p), coeff in states[root].items():
+        if t >= 0:
+            terms[p + pw[sr] + pw[t]] = terms.get(p + pw[sr] + pw[t], 0) + coeff
+        if t > 0:
+            terms[p + pw[sr + t]] = terms.get(p + pw[sr + t], 0) - coeff
     return terms
 
 
+def _connected_sets(nbr: list[int], low: int, within: int):
+    """Each connected vertex mask inside ``within`` that contains bit ``low``."""
+    stack = [(low, nbr[low.bit_length() - 1] & within, 0)]  # (set, frontier, banned)
+    while stack:
+        b, ext, ban = stack.pop()
+        yield b
+        while ext:
+            bit = ext & -ext
+            ext ^= bit
+            stack.append((b | bit, (ext | nbr[bit.bit_length() - 1]) & within & ~(b | bit | ban), ban))
+            ban |= bit
+
+
+def _vertex_dp_terms(comp: list[int], adj, pw: list[int]) -> dict[int, int]:
+    """Connected set-partition DP over bitmasks of one component's vertices.
+
+    c({v}) = 1 and, for |B| >= 2, c(B) = -sum c(B') over proper B' < B with
+    min(B) in B' and B - B' independent, since the signed count of all edge
+    subsets of G[B] is [G[B] has no edge].  Then X = h(V) with
+    h(R) = sum over connected B containing min(R) of c(B) p_|B| h(R - B),
+    run forward with the remaining sets R grouped by their least vertex.
+    """
+    order = [comp[0]]  # breadth-first labels keep the reachable R few
+    for x in order:
+        order += [y for y in adj[x] if y not in order]
+    k, local = len(order), {v: i for i, v in enumerate(order)}
+    nbr = [sum(1 << local[w] for w in adj[v]) for v in order]
+    full, c = (1 << k) - 1, {}
+    for i in range(k):
+        low = 1 << i
+        c[low] = 1
+        for b in sorted(_connected_sets(nbr, low, full & -low), key=int.bit_count)[1:]:
+            # a leaf's one edge lies in every connected spanning subset
+            leaf = next((1 << j for j in range(i + 1, k)
+                         if b >> j & 1 and (nbr[j] & b).bit_count() == 1), 0)
+            if leaf:
+                c[b] = -c[b ^ leaf]
+                continue
+            total, stack = 0, [(0, b ^ low)]  # independent subsets of B - {min B}
+            while stack:
+                chosen, cand = stack.pop()
+                if cand:
+                    bit = cand & -cand
+                    stack.append((chosen, cand ^ bit))
+                    stack.append((chosen | bit, cand & ~bit & ~nbr[bit.bit_length() - 1]))
+                elif chosen:
+                    total += c.get(b ^ chosen, 0)
+            c[b] = -total
+    pending: list = [{} for _ in range(k + 1)]  # index -1 is k: R empty
+    pending[0][full] = {0: 1}
+    for i in range(k):
+        for r, poly in pending[i].items():
+            for b in _connected_sets(nbr, 1 << i, r):
+                rest = r ^ b
+                target = pending[(rest & -rest).bit_length() - 1].setdefault(rest, {})
+                cb, add = c[b], pw[b.bit_count()]
+                for code, a in poly.items():
+                    target[code + add] = target.get(code + add, 0) + a * cb
+        pending[i] = None
+    return pending[k][0]
+
+
 def chromatic_symmetric_function(g: Graph, max_edges: int = DEFAULT_MAX_EDGES) -> PowerSumPolynomial:
-    """Exact power-sum expansion of X_G by full edge-subset enumeration."""
-    m = g.edge_count
+    """Exact power-sum expansion of X_G, one structured kernel per component."""
+    n, m, adj = g.vertex_count, g.edge_count, g.adjacency
     if m > max_edges:
         raise ResourceLimitError(
             f"graph has {m} edges, above the enumeration cap of {max_edges}"
         )
-    terms = _subset_type_terms(g.vertex_count, g.edges, 0, 1 << m)
-    return PowerSumPolynomial(g.vertex_count, {k: c for k, c in terms.items() if c})
+    comps = [(c, sum(len(adj[v]) for v in c) // 2 - len(c) + 1) for c in connected_components(g)]
+    for comp, r in comps:
+        if r >= 2 and 1 << len(comp) > VERTEX_DP_WORK_LIMIT:
+            raise ResourceLimitError(f"a component with {len(comp)} vertices and cyclomatic "
+                                     f"number {r} needs 2^{len(comp)} vertex masks, above "
+                                     f"the limit of {VERTEX_DP_WORK_LIMIT}")
+    base = n + 1
+    pw = [0] + [base ** i for i in range(n)]  # pw[s] codes one part of size s
+    cyc = set(_cycle_vertices(g)) if any(r == 1 for _, r in comps) else ()
+    total = {0: 1}
+    for comp, r in comps:
+        if r == 0:
+            part = _sparse_terms(adj, comp[0], None, pw)
+        elif r == 1:  # drop the edge from a cycle vertex to a cycle neighbour
+            root = next(v for v in comp if v in cyc)
+            part = _sparse_terms(adj, root, next(w for w in adj[root] if w in cyc), pw)
+        else:
+            part = _vertex_dp_terms(comp, adj, pw)
+        product: dict[int, int] = {}
+        for ca, xa in total.items():
+            for cb, xb in part.items():
+                product[ca + cb] = product.get(ca + cb, 0) + xa * xb
+        total = product
+    # tuple() of a list, not of a generator: a generator's tuple is allocated
+    # at a guessed length and then resized, which grew resident memory over
+    # repeated calls
+    return PowerSumPolynomial(n, {
+        tuple([s for s in range(n, 0, -1) for _ in range(code // pw[s] % base)]): coeff
+        for code, coeff in total.items() if coeff
+    })
 
 
 def specialize(x: PowerSumPolynomial, k: int) -> int:
@@ -117,6 +216,9 @@ def specialize(x: PowerSumPolynomial, k: int) -> int:
 
 
 COLORING_WORK_LIMIT = 100_000_000
+# 2^k vertex masks of one component with r >= 2; its c table holds one entry
+# per connected mask, so this also bounds that table's memory
+VERTEX_DP_WORK_LIMIT = 1 << 20
 
 
 def count_proper_colorings(g: Graph, k: int) -> int:

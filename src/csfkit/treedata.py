@@ -15,6 +15,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from itertools import combinations
 
+from .csf import chromatic_symmetric_function
 from .errors import InconsistentDataError, TwoCentroidError
 from .graph import Graph, centroid, is_forest, pi_type, require_tree
 from .partitions import (
@@ -388,32 +389,9 @@ def forest_type_counts(f: Graph) -> dict[Partition, int]:
     """For each partition, the number of edge subsets of that type.
 
     Forests only: there every subset of a given type has the same size, so
-    these counts carry exactly the information in X_F.
+    these counts are the absolute values of X_F's coefficients.
     """
     if not is_forest(f):
         raise ValueError("forest_type_counts requires a forest")
-    n = f.vertex_count
-    edges = f.edges
-    counts: dict[Partition, int] = {}
-    for mask in range(1 << len(edges)):
-        parent = list(range(n))
-        size = [1] * n
-        bits = mask
-        while bits:
-            low = bits & -bits
-            bits ^= low
-            u, v = edges[low.bit_length() - 1]
-            while parent[u] != u:
-                parent[u] = parent[parent[u]]
-                u = parent[u]
-            while parent[v] != v:
-                parent[v] = parent[parent[v]]
-                v = parent[v]
-            if u != v:
-                if size[u] < size[v]:
-                    u, v = v, u
-                parent[v] = u
-                size[u] += size[v]
-        key = tuple(sorted((size[i] for i in range(n) if parent[i] == i), reverse=True))
-        counts[key] = counts.get(key, 0) + 1
-    return counts
+    x = chromatic_symmetric_function(f, max_edges=f.edge_count)
+    return {p: abs(coeff) for p, coeff in x.terms.items()}

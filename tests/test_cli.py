@@ -78,6 +78,25 @@ def test_csf_resource_limit_exit_code(tmp_path, capsys, monkeypatch):
     assert "cap" in err
 
 
+def test_csf_work_limit_exit_code(tmp_path, capsys, monkeypatch):
+    monkeypatch.setenv("CSFKIT_MAX_EDGES", "1000")  # past the edge cap, onto the kernel's limit
+    path = write_graph(tmp_path, "k21.graph", Graph(21, tuple(combinations(range(21), 2))))
+    code, out, err = run(capsys, ["csf", path])
+    assert code == 4
+    assert out == ""
+    assert "limit" in err
+
+
+@pytest.mark.parametrize("value", ["abc", "-1"])
+def test_malformed_max_edges_env_is_a_data_error(tmp_path, capsys, monkeypatch, value):
+    monkeypatch.setenv("CSFKIT_MAX_EDGES", value)
+    path = write_graph(tmp_path, "c6.graph", COLLISION_LEFT6)
+    code, out, err = run(capsys, ["csf", path])
+    assert code == 3
+    assert out == ""
+    assert "CSFKIT_MAX_EDGES" in err and repr(value) in err
+
+
 def test_usage_error_exit_code(tmp_path):
     with pytest.raises(SystemExit) as info:
         main(["csf"])  # missing input
