@@ -13,17 +13,15 @@ import argparse
 import hashlib
 import os
 import sys
-import time
-from dataclasses import dataclass
 from itertools import combinations
-from typing import Iterator
 
-from .csf import DEFAULT_MAX_EDGES, chromatic_symmetric_function, specialize
+from .csf import DEFAULT_MAX_EDGES, chromatic_symmetric_function, first_difference, specialize
 from .errors import CsfkitError, ResourceLimitError
-from .graph import Graph, _cycle_vertices, enumerate_trees, parse_graph
+from .graph import Graph, parse_graph
 from .pairgen import RootedTree, glue_rooted_trees
 from .partitions import partition_key
 from .rewrite import GraphCombination, path_split, triangle_split, wedge_split
+from .search import run_search
 from .treedata import ThetaTable, reconstruct_from_pairs, reconstruct_from_theta, theta_tables
 
 
@@ -64,16 +62,12 @@ def cmd_equal(args) -> int:
     cap = _enumeration_cap()
     xa = chromatic_symmetric_function(_load_graph(args.file_a), max_edges=cap)
     xb = chromatic_symmetric_function(_load_graph(args.file_b), max_edges=cap)
-    if xa.degree == xb.degree and xa.terms == xb.terms:
+    diff = first_difference(xa, xb)
+    if diff is None:
         print("EQUAL")
         return 0
-    for key in sorted(set(xa.terms) | set(xb.terms), reverse=True):
-        ca = xa.terms.get(key, 0)
-        cb = xb.terms.get(key, 0)
-        if ca != cb:
-            print(f"DIFFER at {partition_key(key)}: {ca} vs {cb}")
-            return 1
-    print(f"DIFFER at degree: {xa.degree} vs {xb.degree}")
+    where, va, vb = diff
+    print(f"DIFFER at {where if where == 'degree' else partition_key(where)}: {va} vs {vb}")
     return 1
 
 
@@ -187,96 +181,6 @@ def cmd_reconstruct(args) -> int:
 
 # ---------------------------------------------------------------------------
 # search
-
-
-@dataclass(frozen=True)
-class CollisionReport:
-    n: int
-    graph_class: str
-    graph_count: int
-    groups: tuple[tuple[str, ...], ...]
-    elapsed_seconds: float
-
-
-def _graph_line(g: Graph) -> str:
-    body = " ".join(f"{u}-{v}" for u, v in g.edges)
-    return f"{g.vertex_count} {g.edge_count} {body}".rstrip()
-
-
-def _pendant_code(g: Graph, root: int, blocked: set[int]) -> str:
-    children = sorted(
-        _pendant_code(g, w, blocked | {root}) for w in g.adjacency[root]
-        if w not in blocked
-    )
-    return "(" + "".join(children) + ")"
-
-
-def unicyclic_canonical_key(g: Graph) -> tuple:
-    """Isomorphism-complete key for connected unicyclic graphs.
-
-    The unique cycle is read as a circular sequence of canonical codes of
-    the trees hanging at each cycle vertex; the key is the minimum of that
-    sequence over both rotations and reflection.
-    """
-    cyc = _cycle_vertices(g)
-    cyc_set = set(cyc)
-    order = [cyc[0]]
-    prev = -1
-    while len(order) < len(cyc):
-        nbrs = [w for w in g.adjacency[order[-1]] if w in cyc_set and w != prev]
-        prev = order[-1]
-        order.append(min(nbrs))
-    codes = [_pendant_code(g, c, cyc_set - {c}) for c in order]
-    best = None
-    for seq in (codes, codes[::-1]):
-        for shift in range(len(seq)):
-            cand = tuple(seq[shift:] + seq[:shift])
-            if best is None or cand < best:
-                best = cand
-    return (len(cyc), best)
-
-
-def _unicyclic_representatives(n: int) -> Iterator[Graph]:
-    """One representative per isomorphism class of connected unicyclic graphs."""
-    seen: set[tuple] = set()
-    for t in enumerate_trees(n):
-        for u, v in combinations(range(n), 2):
-            if t.has_edge(u, v):
-                continue
-            g = t.with_edge_added(u, v)
-            key = unicyclic_canonical_key(g)
-            if key not in seen:
-                seen.add(key)
-                yield g
-
-
-def run_search(n: int, graph_class: str, max_edges: int) -> CollisionReport:
-    start = time.monotonic()
-    needed = n - 1 if graph_class == "tree" else n
-    if needed > max_edges:
-        raise ResourceLimitError(
-            f"{graph_class} search at n={n} needs {needed}-edge enumerations, cap is {max_edges}"
-        )
-    if graph_class == "tree":
-        graphs = list(enumerate_trees(n))
-    else:
-        graphs = list(_unicyclic_representatives(n))
-    buckets: dict[str, list[Graph]] = {}
-    for g in graphs:
-        fingerprint = chromatic_symmetric_function(g, max_edges=max_edges).to_text()
-        buckets.setdefault(fingerprint, []).append(g)
-    groups = tuple(
-        tuple(_graph_line(g) for g in members)
-        for members in buckets.values()
-        if len(members) >= 2
-    )
-    return CollisionReport(
-        n=n,
-        graph_class=graph_class,
-        graph_count=len(graphs),
-        groups=groups,
-        elapsed_seconds=time.monotonic() - start,
-    )
 
 
 def cmd_search(args) -> int:

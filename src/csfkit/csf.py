@@ -19,7 +19,7 @@ from dataclasses import dataclass
 from math import comb
 
 from .errors import ResourceLimitError
-from .graph import Graph, _cycle_vertices, connected_components
+from .graph import Graph, connected_components, cycle_vertices
 from .partitions import Partition, parse_partition_key, partition_key
 
 DEFAULT_MAX_EDGES = 30
@@ -169,8 +169,13 @@ def _vertex_dp_terms(comp: list[int], adj, pw: list[int]) -> dict[int, int]:
     return pending[k][0]
 
 
-def chromatic_symmetric_function(g: Graph, max_edges: int = DEFAULT_MAX_EDGES) -> PowerSumPolynomial:
-    """Exact power-sum expansion of X_G, one structured kernel per component."""
+def csf_codes(g: Graph, max_edges: int = DEFAULT_MAX_EDGES) -> dict[int, int]:
+    """Exact nonzero terms of X_G as {size code: coefficient}.
+
+    A code holds one base-(n+1) digit per part size, digit s - 1 counting the
+    parts of size s, so at a fixed vertex count two graphs have equal maps
+    exactly when their functions are equal.
+    """
     n, m, adj = g.vertex_count, g.edge_count, g.adjacency
     if m > max_edges:
         raise ResourceLimitError(
@@ -182,9 +187,8 @@ def chromatic_symmetric_function(g: Graph, max_edges: int = DEFAULT_MAX_EDGES) -
             raise ResourceLimitError(f"a component with {len(comp)} vertices and cyclomatic "
                                      f"number {r} needs 2^{len(comp)} vertex masks, above "
                                      f"the limit of {VERTEX_DP_WORK_LIMIT}")
-    base = n + 1
-    pw = [0] + [base ** i for i in range(n)]  # pw[s] codes one part of size s
-    cyc = set(_cycle_vertices(g)) if any(r == 1 for _, r in comps) else ()
+    pw = _part_codes(n)
+    cyc = set(cycle_vertices(g)) if any(r == 1 for _, r in comps) else ()
     total = {0: 1}
     for comp, r in comps:
         if r == 0:
@@ -199,12 +203,24 @@ def chromatic_symmetric_function(g: Graph, max_edges: int = DEFAULT_MAX_EDGES) -
             for cb, xb in part.items():
                 product[ca + cb] = product.get(ca + cb, 0) + xa * xb
         total = product
+    return {code: coeff for code, coeff in total.items() if coeff}
+
+
+def _part_codes(n: int) -> list[int]:
+    """pw[s] is the code of one part of size s (pw[0] = 0)."""
+    return [0] + [(n + 1) ** i for i in range(n)]
+
+
+def chromatic_symmetric_function(g: Graph, max_edges: int = DEFAULT_MAX_EDGES) -> PowerSumPolynomial:
+    """Exact power-sum expansion of X_G, one structured kernel per component."""
+    n, base = g.vertex_count, g.vertex_count + 1
+    pw = _part_codes(n)
     # tuple() of a list, not of a generator: a generator's tuple is allocated
     # at a guessed length and then resized, which grew resident memory over
     # repeated calls
     return PowerSumPolynomial(n, {
         tuple([s for s in range(n, 0, -1) for _ in range(code // pw[s] % base)]): coeff
-        for code, coeff in total.items() if coeff
+        for code, coeff in csf_codes(g, max_edges).items()
     })
 
 
@@ -299,3 +315,18 @@ def extract_invariants(x: PowerSumPolynomial) -> ExtractedReport:
 def csf_equal(a: PowerSumPolynomial, b: PowerSumPolynomial) -> bool:
     """Exact equality: same degree and identical term maps."""
     return a.degree == b.degree and a.terms == b.terms
+
+
+def first_difference(a: PowerSumPolynomial, b: PowerSumPolynomial) -> tuple[Partition | str, int, int] | None:
+    """None if ``a`` and ``b`` are equal, else (where, value in a, value in b).
+
+    ``where`` is the first partition, in descending order, whose coefficients
+    differ; if every coefficient agrees it is "degree" and the values are the
+    degrees.
+    """
+    if csf_equal(a, b):
+        return None
+    for key in sorted(set(a.terms) | set(b.terms), reverse=True):
+        if a.terms.get(key, 0) != b.terms.get(key, 0):
+            return key, a.terms.get(key, 0), b.terms.get(key, 0)
+    return "degree", a.degree, b.degree

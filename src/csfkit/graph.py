@@ -12,6 +12,7 @@ from __future__ import annotations
 from collections import deque
 from dataclasses import dataclass
 from functools import cached_property
+from itertools import combinations, product
 from typing import Iterable, Iterator
 
 from .errors import GraphParseError, NotATreeError
@@ -332,7 +333,7 @@ class CycleStats:
     degree2_on_cycle: int  # I
 
 
-def _cycle_vertices(g: Graph) -> list[int]:
+def cycle_vertices(g: Graph) -> list[int]:
     """Vertices of the unique cycle of a connected unicyclic graph."""
     deg = g.degrees()
     alive = [True] * g.vertex_count
@@ -351,7 +352,7 @@ def _cycle_vertices(g: Graph) -> list[int]:
 def cycle_stats(g: Graph) -> CycleStats:
     if g.vertex_count != g.edge_count or not is_connected(g):
         raise ValueError("cycle_stats requires a connected unicyclic graph")
-    cyc = _cycle_vertices(g)
+    cyc = cycle_vertices(g)
     deg = g.degrees()
     return CycleStats(
         cycle_length=len(cyc),
@@ -361,7 +362,7 @@ def cycle_stats(g: Graph) -> CycleStats:
 
 
 # ---------------------------------------------------------------------------
-# Canonical codes and free-tree enumeration
+# Canonical codes, free-tree and unicyclic enumeration
 
 
 def rooted_code(t: Graph, root: int) -> str:
@@ -405,6 +406,16 @@ def canonical_tree_code(t: Graph) -> str:
     return min(rooted_code(t, c) for c in _tree_centers(t))
 
 
+def _successor(levels: list[int], p: int) -> None:
+    """Beyer-Hedetniemi step in place: regenerate levels[p:] by repeating the
+    stretch from the last vertex q < p one level above p, period p - q."""
+    q = p - 1
+    while levels[q] != levels[p] - 1:
+        q -= 1
+    for i in range(p, len(levels)):
+        levels[i] = levels[i - (p - q)]
+
+
 def _level_sequences(n: int) -> Iterator[tuple[int, ...]]:
     """All canonical level sequences of rooted trees on n vertices.
 
@@ -418,32 +429,124 @@ def _level_sequences(n: int) -> Iterator[tuple[int, ...]]:
         p = max((i for i in range(n) if levels[i] > 2), default=-1)
         if p < 0:
             return
-        q = max(i for i in range(p) if levels[i] == levels[p] - 1)
-        for i in range(p, n):
-            levels[i] = levels[i - (p - q)]
+        _successor(levels, p)
         yield tuple(levels)
+
+
+def _center_rooted(levels: list[int], m: int) -> bool:
+    """Is this canonical level sequence rooted at a center of its free tree?
+
+    The first subtree (levels[1:m]) is the deepest branch.  The root is the
+    center when the deepest other branch is as deep, and one of the two
+    centers when it is one shallower; then the half hanging at the other
+    center must not exceed the root's half, by order and then by sequence.
+    """
+    first, rest = levels[1:m], levels[:1] + levels[m:]
+    gap = max(first) - max(rest)  # first depth minus rest depth
+    if gap != 1:
+        return gap < 1
+    if len(first) != len(rest):
+        return len(first) < len(rest)
+    return [x - 1 for x in first] <= rest
+
+
+def _free_level_sequences(n: int) -> Iterator[tuple[int, ...]]:
+    """One center-rooted canonical level sequence per free tree on n vertices.
+
+    Wright, Richmond, Odlyzko & McKay (SIAM J. Comput. 15, 1986): walk the
+    Beyer-Hedetniemi order from the path rooted at its center, and when a
+    sequence is not center-rooted, jump past every sequence that only changes
+    the rest of the tree by stepping inside the first subtree, then lowering
+    the rest to the shallowest path that can balance it.
+    """
+    if n <= 2:
+        yield tuple(range(1, n + 1))
+        return
+    levels = list(range(1, n // 2 + 2)) + list(range(2, (n + 1) // 2 + 1))
+    while True:
+        m = _second_child(levels)
+        if _center_rooted(levels, m):
+            yield tuple(levels)
+            p = max((i for i in range(n) if levels[i] > 2), default=-1)
+            if p < 0:
+                return
+            _successor(levels, p)
+        else:
+            # A step at a grandchild of the root fills the rest with copies of
+            # the new first subtree, which already balance it; after a deeper
+            # step the tail becomes a path as deep as the new first subtree.
+            deeper = levels[m - 1] > 3
+            _successor(levels, m - 1)
+            if deeper:
+                height = max(levels[1:_second_child(levels)])
+                levels[n - height + 1:] = range(2, height + 1)
+
+
+def _second_child(levels: list[int]) -> int:
+    """Index of the root's second child, which ends the first subtree (n if none)."""
+    return next((i for i in range(2, len(levels)) if levels[i] == 2), len(levels))
+
+
+def _level_parents(levels) -> list[int]:
+    """Parent index of each vertex of a level sequence, -1 at the root."""
+    last_at = {levels[0]: 0}
+    parents = [-1]
+    for i in range(1, len(levels)):
+        parents.append(last_at[levels[i] - 1])
+        last_at[levels[i]] = i
+    return parents
 
 
 def tree_from_levels(levels: tuple[int, ...]) -> Graph:
     """Rooted level sequence -> tree; parent of i is the last shallower vertex."""
-    n = len(levels)
-    last_at = {levels[0]: 0}
-    edges = []
-    for i in range(1, n):
-        parent = last_at[levels[i] - 1]
-        edges.append((parent, i))
-        last_at[levels[i]] = i
-    return Graph(n, tuple(edges))
+    parents = _level_parents(levels)
+    return Graph(len(levels), tuple((parents[i], i) for i in range(1, len(levels))))
 
 
 def enumerate_trees(n: int) -> Iterator[Graph]:
-    """One representative per isomorphism class of trees on n vertices."""
+    """One representative per isomorphism class of trees on n vertices,
+    generated directly (no isomorphism test or deduplication)."""
     if n < 1:
         raise ValueError("n must be at least 1")
-    seen: set[str] = set()
-    for levels in _level_sequences(n):
-        t = tree_from_levels(levels)
-        code = canonical_tree_code(t)
-        if code not in seen:
-            seen.add(code)
-            yield t
+    for levels in _free_level_sequences(n):
+        yield tree_from_levels(levels)
+
+
+def _least_turn(seq: tuple) -> bool:
+    """No rotation or reflection of the cyclic sequence is lexicographically smaller."""
+    p = len(seq)
+    twice, back = seq + seq, seq[::-1] * 2
+    return all(seq <= twice[i:i + p] and seq <= back[i:i + p] for i in range(p))
+
+
+def enumerate_unicyclic(n: int) -> Iterator[Graph]:
+    """One representative per isomorphism class of connected unicyclic graphs
+    on n vertices, generated directly (no isomorphism test or deduplication).
+
+    A class is a cycle C_p (3 <= p <= n) with a rooted tree at each cycle
+    vertex, read as the sequence of those trees around the cycle.  Every such
+    sequence is visited and kept only if none of its p rotations and p
+    reflections is lexicographically smaller, trees ranked by order and then
+    by their place in the Beyer-Hedetniemi scan.  Cycle vertex i is the root
+    of the i-th tree, whose vertices are numbered consecutively.
+    """
+    if n < 1:
+        raise ValueError("n must be at least 1")
+    parents: list[list[int]] = []  # by rank
+    ranks: list[list[int]] = [[] for _ in range(n + 1)]  # by order
+    for order in range(1, n - 1):
+        for levels in _level_sequences(order):
+            ranks[order].append(len(parents))
+            parents.append(_level_parents(levels))
+    for p in range(3, n + 1):
+        for cuts in combinations(range(1, n), p - 1):
+            orders = [b - a for a, b in zip((0,) + cuts, cuts + (n,))]
+            for seq in product(*(ranks[order] for order in orders)):
+                if not _least_turn(seq):
+                    continue
+                roots = (0,) + cuts
+                edges = [(roots[i - 1], roots[i]) for i in range(1, p)] + [(0, roots[-1])]
+                for root, rank in zip(roots, seq):
+                    up = parents[rank]
+                    edges += [(root + up[i], root + i) for i in range(1, len(up))]
+                yield Graph(n, tuple(sorted(edges)))

@@ -28,11 +28,6 @@ def is_partition(parts: tuple) -> bool:
     )
 
 
-def degree(p: Partition) -> int:
-    """Sum of the parts (the number of vertices a subset type accounts for)."""
-    return sum(p)
-
-
 def compare_balanced(a: Partition, b: Partition) -> int:
     """Order two 2-part partitions of the same n by their smaller part.
 
@@ -62,8 +57,3 @@ def parse_partition_key(text: str) -> Partition:
     if not is_partition(parts):
         raise ValueError(f"partition key {text!r} is not weakly decreasing positive")
     return parts
-
-
-def descending_key_order(keys: Iterable[Partition]) -> list[Partition]:
-    """Partitions sorted descending lexicographically, the file/print order."""
-    return sorted(keys, reverse=True)

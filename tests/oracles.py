@@ -7,15 +7,17 @@ definition, against which the package's structured kernels are checked), and
 a component-tracking dynamic program that expands X_G for forests and
 connected unicyclic graphs without touching 2^E subsets.  The DP lets the
 suite check CSF equality on glued pairs far beyond what the subset
-enumerator can reach in test time.
+enumerator can reach in test time.  The collision search is redone the
+earlier way: candidates deduplicated by canonical keys, then bucketed by the
+printed polynomial.
 """
 
 from __future__ import annotations
 
-from itertools import permutations, product
+from itertools import combinations, permutations, product
 
-from csfkit import Graph, PowerSumPolynomial
-from csfkit.graph import _cycle_vertices, connected_components
+from csfkit import Graph, PowerSumPolynomial, canonical_tree_code, chromatic_symmetric_function
+from csfkit.graph import _level_sequences, connected_components, cycle_vertices, tree_from_levels
 
 
 # ---------------------------------------------------------------------------
@@ -53,6 +55,40 @@ def all_labelled_trees(n: int):
         return
     for seq in product(range(n), repeat=n - 2):
         yield prufer_tree(n, seq)
+
+
+def _partitions(m: int, most: int):
+    if m == 0:
+        yield ()
+        return
+    for first in range(min(m, most), 0, -1):
+        for rest in _partitions(m - first, first):
+            yield (first,) + rest
+
+
+def _arrangements(counts: list[int]):
+    """Every sequence holding label v exactly counts[v] times."""
+    if not any(counts):
+        yield ()
+        return
+    for v, c in enumerate(counts):
+        if c:
+            counts[v] -= 1
+            for rest in _arrangements(counts):
+                yield (v,) + rest
+            counts[v] += 1
+
+
+def prufer_classes(n: int) -> set[str]:
+    """Canonical codes of all trees on n >= 3 vertices, by Pruefer decoding.
+
+    Label v occurs deg(v) - 1 times in a Pruefer sequence, and relabelling a
+    tree by decreasing degree makes those counts non-increasing, so the
+    sequences with non-increasing label counts reach every class.
+    """
+    return {canonical_tree_code(prufer_tree(n, seq))
+            for counts in _partitions(n - 2, n - 2)
+            for seq in _arrangements(list(counts))}
 
 
 def brute_force_isomorphic(a: Graph, b: Graph) -> bool:
@@ -185,7 +221,7 @@ def unicyclic_csf(g: Graph) -> PowerSumPolynomial:
     the components of the edge's endpoints, with one extra sign flip.
     """
     assert g.vertex_count == g.edge_count
-    cyc = set(_cycle_vertices(g))
+    cyc = set(cycle_vertices(g))
     e0 = next(i for i, (u, v) in enumerate(g.edges) if u in cyc and v in cyc)
     a, b = g.edges[e0]
     tree = g.with_edges_removed([e0])
@@ -218,3 +254,77 @@ def all_rooted_trees(n: int, enumerate_trees, rooted_code):
                 seen.add(code)
                 out.append((t, root))
     return out
+
+
+# ---------------------------------------------------------------------------
+# Collision search the earlier way: deduplicated candidates, text fingerprints
+
+
+def rooted_dedup_trees(n: int):
+    """One tree per class: every rooted level sequence, deduplicated by code."""
+    seen = set()
+    for levels in _level_sequences(n):
+        t = tree_from_levels(levels)
+        code = canonical_tree_code(t)
+        if code not in seen:
+            seen.add(code)
+            yield t
+
+
+def _pendant_code(g: Graph, root: int, blocked: set[int]) -> str:
+    children = sorted(
+        _pendant_code(g, w, blocked | {root}) for w in g.adjacency[root]
+        if w not in blocked
+    )
+    return "(" + "".join(children) + ")"
+
+
+def unicyclic_canonical_key(g: Graph) -> tuple:
+    """Isomorphism-complete key for connected unicyclic graphs.
+
+    The unique cycle is read as a circular sequence of canonical codes of
+    the trees hanging at each cycle vertex; the key is the minimum of that
+    sequence over both rotations and reflection.
+    """
+    cyc = cycle_vertices(g)
+    cyc_set = set(cyc)
+    order = [cyc[0]]
+    prev = -1
+    while len(order) < len(cyc):
+        nbrs = [w for w in g.adjacency[order[-1]] if w in cyc_set and w != prev]
+        prev = order[-1]
+        order.append(min(nbrs))
+    codes = [_pendant_code(g, c, cyc_set - {c}) for c in order]
+    best = None
+    for seq in (codes, codes[::-1]):
+        for shift in range(len(seq)):
+            cand = tuple(seq[shift:] + seq[:shift])
+            if best is None or cand < best:
+                best = cand
+    return (len(cyc), best)
+
+
+def unicyclic_by_edge_addition(n: int):
+    """One graph per unicyclic class: every tree plus every non-edge, by key."""
+    seen: set[tuple] = set()
+    for t in rooted_dedup_trees(n):
+        for u, v in combinations(range(n), 2):
+            if t.has_edge(u, v):
+                continue
+            g = t.with_edge_added(u, v)
+            key = unicyclic_canonical_key(g)
+            if key not in seen:
+                seen.add(key)
+                yield g
+
+
+def text_fingerprint_groups(n: int, graph_class: str) -> list[list[Graph]]:
+    """Collision groups of a class, bucketing graphs by their printed X_G."""
+    if graph_class == "tree":
+        graphs = rooted_dedup_trees(n)
+    else:
+        graphs = unicyclic_by_edge_addition(n)
+    buckets: dict[str, list[Graph]] = {}
+    for g in graphs:
+        buckets.setdefault(chromatic_symmetric_function(g).to_text(), []).append(g)
+    return [members for members in buckets.values() if len(members) >= 2]

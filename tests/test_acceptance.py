@@ -36,7 +36,7 @@ from csfkit import (
     triangle_split,
     wedge_split,
 )
-from csfkit.cli import run_search
+from csfkit.search import run_search
 from csfkit.graph import connected_components, rooted_code
 from csfkit.treedata import ThetaTable
 

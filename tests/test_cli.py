@@ -1,3 +1,4 @@
+import time
 from itertools import combinations
 
 import pytest
@@ -8,10 +9,13 @@ from csfkit import (
     canonical_tree_code,
     chromatic_symmetric_function,
     csf_equal,
+    enumerate_unicyclic,
     parse_graph,
     theta,
 )
-from csfkit.cli import main, run_search, unicyclic_canonical_key
+from csfkit.cli import main
+from csfkit.graph import is_connected
+from csfkit.search import run_search
 
 from fixtures import (
     CHROMATIC_TREE7,
@@ -23,6 +27,7 @@ from fixtures import (
     TWO_CENTROID_PAIR14_LEFT,
     cut_table13,
 )
+from oracles import unicyclic_canonical_key
 
 
 def write_graph(tmp_path, name, g: Graph) -> str:
@@ -342,9 +347,21 @@ def test_search_resource_limit(capsys):
     assert "cap" in err
 
 
-def test_unicyclic_key_counts():
-    # connected unicyclic graphs per isomorphism class: 1, 2, 5, 13 for n=3..6
-    from csfkit.cli import _unicyclic_representatives
+@pytest.mark.parametrize("graph_class, n", [("tree", 31), ("unicyclic", 30)])
+def test_search_refuses_oversized_class_up_front(capsys, graph_class, n):
+    # both pass the 30-edge cap; the candidate count is what refuses them
+    start = time.monotonic()
+    code, out, err = run(capsys, ["search", "--class", graph_class, "--n", str(n)])
+    assert code == 4
+    assert out == ""
+    assert "limit" in err
+    assert time.monotonic() - start < 1.0
 
-    counts = [sum(1 for _ in _unicyclic_representatives(n)) for n in range(3, 7)]
-    assert counts == [1, 2, 5, 13]
+
+def test_unicyclic_key_counts():
+    # connected unicyclic graphs per isomorphism class (OEIS A001429), n = 3..10,
+    # each generated once: pairwise distinct canonical keys
+    for n, want in zip(range(3, 11), [1, 2, 5, 13, 33, 89, 240, 657]):
+        graphs = list(enumerate_unicyclic(n))
+        assert len({unicyclic_canonical_key(g) for g in graphs}) == len(graphs) == want
+        assert all(g.edge_count == n and is_connected(g) for g in graphs)

@@ -12,6 +12,7 @@ from csfkit import (
     csf_equal,
     enumerate_trees,
     extract_invariants,
+    first_difference,
     specialize,
     structural_report,
 )
@@ -201,6 +202,27 @@ def test_csf_equal_distinguishes_path_and_star():
     xs = chromatic_symmetric_function(STAR4)
     assert not csf_equal(xp, xs)
     assert xp.coefficient((2, 2)) != xs.coefficient((2, 2))
+
+
+def test_first_difference_of_equal_functions_is_none():
+    xl = chromatic_symmetric_function(COLLISION_LEFT6)
+    xr = chromatic_symmetric_function(COLLISION_RIGHT6)
+    assert first_difference(xl, xr) is None
+
+
+def test_first_difference_names_the_highest_differing_partition():
+    xp = chromatic_symmetric_function(P4)
+    xs = chromatic_symmetric_function(STAR4)
+    # (4,) agrees; (3, 1) is next in descending order, before (2, 2)
+    assert first_difference(xp, xs) == ((3, 1), 2, 3)
+    assert first_difference(xs, xp) == ((3, 1), 3, 2)
+
+
+def test_first_difference_reports_degree_when_every_coefficient_agrees():
+    assert first_difference(PowerSumPolynomial(2, {}), PowerSumPolynomial(3, {})) == ("degree", 2, 3)
+    # graphs of different orders already differ at a partition
+    x2, x3 = chromatic_symmetric_function(K2), chromatic_symmetric_function(K3)
+    assert first_difference(x2, x3) == ((3,), 0, 2)
 
 
 def test_polynomial_text_format():

@@ -281,7 +281,8 @@ def _relabel(g: Graph, seed: int) -> Graph:
 
 
 def test_enumerate_trees_counts():
-    expected = [1, 1, 1, 2, 3, 6, 11, 23, 47, 106, 235, 551]
+    # OEIS A000055 through n = 16
+    expected = [1, 1, 1, 2, 3, 6, 11, 23, 47, 106, 235, 551, 1301, 3159, 7741, 19320]
     for n, want in enumerate(expected, start=1):
         assert sum(1 for _ in enumerate_trees(n)) == want
 

@@ -12,11 +12,15 @@ from csfkit import (
     structural_report,
     verify_p1,
 )
-from csfkit.cli import unicyclic_canonical_key
 from csfkit.graph import rooted_code
 
 from fixtures import COLLISION_LEFT6, COLLISION_RIGHT6
-from oracles import all_rooted_trees, brute_force_isomorphic, unicyclic_csf
+from oracles import (
+    all_rooted_trees,
+    brute_force_isomorphic,
+    unicyclic_canonical_key,
+    unicyclic_csf,
+)
 
 SINGLE = RootedTree(Graph(1, ()), 0)
 EDGE = RootedTree(Graph(2, ((0, 1),)), 0)

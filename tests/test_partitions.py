@@ -1,7 +1,6 @@
 import pytest
 
 from csfkit import compare_balanced, parse_partition_key, partition_key, rearrange
-from csfkit.partitions import descending_key_order
 
 
 def test_rearrange_sorts_descending():
@@ -79,8 +78,3 @@ def test_parse_partition_key_roundtrip_and_errors():
         parse_partition_key("3,4")  # increasing
     with pytest.raises(ValueError):
         parse_partition_key("a,b")
-
-
-def test_descending_key_order():
-    keys = [(1, 1, 1), (3,), (2, 1)]
-    assert descending_key_order(keys) == [(3,), (2, 1), (1, 1, 1)]
