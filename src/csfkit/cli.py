@@ -5,22 +5,24 @@ Exit codes: 0 success (or EQUAL), 1 polynomials differ, 2 usage error,
 3 data error, 4 resource limit.  All stdout output is deterministic;
 timing diagnostics go to stderr.  CSFKIT_MAX_EDGES overrides the edge cap
 on CSF computations, which is checked before the CSF kernels' own work limit.
+``main`` may be called many times in one process: the parser is built on the
+first call, and CSFKIT_MAX_EDGES is read again by every command.
 """
 
 from __future__ import annotations
 
 import argparse
+import functools
 import hashlib
 import os
 import sys
-from itertools import combinations
 
 from .csf import DEFAULT_MAX_EDGES, chromatic_symmetric_function, first_difference, specialize
 from .errors import CsfkitError, ResourceLimitError
 from .graph import Graph, parse_graph
 from .pairgen import RootedTree, glue_rooted_trees
 from .partitions import partition_key
-from .rewrite import GraphCombination, path_split, triangle_split, wedge_split
+from .rewrite import path_split, reduce_triangle_free, triangle_split, wedge_split
 from .search import run_search
 from .treedata import ThetaTable, reconstruct_from_pairs, reconstruct_from_theta, theta_tables
 
@@ -75,50 +77,12 @@ def cmd_equal(args) -> int:
 # decompose
 
 
-def _first_triangle(g: Graph) -> tuple[int, int, int] | None:
-    """Lowest-index (e1, e2, e3) forming a triangle, scanning edge pairs."""
-    for i, j in combinations(range(g.edge_count), 2):
-        a, b = g.edges[i], g.edges[j]
-        shared = set(a) & set(b)
-        if len(shared) != 1:
-            continue
-        v1 = (set(a) - shared).pop()
-        v2 = (set(b) - shared).pop()
-        if g.has_edge(v1, v2):
-            return i, j, g.index_of(v1, v2)
-    return None
-
-
-def _reduce_triangle_free(g: Graph) -> GraphCombination:
-    """Best-effort strategy: erase triangles until none remain.
-
-    Each rewrite replaces a graph by graphs with strictly fewer edges, so
-    this terminates; the result is triangle-free but not necessarily a
-    forest combination.
-    """
-    pending: list[tuple[int, Graph]] = [(1, g)]
-    settled: dict[tuple[int, frozenset], tuple[int, Graph]] = {}
-    while pending:
-        coeff, h = pending.pop()
-        tri = _first_triangle(h)
-        if tri is None:
-            key = (h.vertex_count, frozenset(h.edges))
-            old_coeff = settled[key][0] if key in settled else 0
-            settled[key] = (old_coeff + coeff, h)
-            continue
-        for sub_coeff, sub in triangle_split(h, *tri).terms:
-            pending.append((coeff * sub_coeff, sub))
-    terms = [(c, h) for c, h in settled.values() if c]
-    terms.sort(key=lambda item: (-item[1].edge_count, item[1].edges))
-    return GraphCombination(tuple(terms))
-
-
 def cmd_decompose(args) -> int:
     g = _load_graph(args.input)
     if args.rule == "reduce":
         if args.edges is not None:
             raise ValueError("--edges is not used with --rule reduce")
-        combo = _reduce_triangle_free(g)
+        combo = reduce_triangle_free(g)
     else:
         if args.edges is None:
             raise ValueError(f"--rule {args.rule} requires --edges")
@@ -200,7 +164,9 @@ def cmd_search(args) -> int:
 # parser
 
 
+@functools.cache
 def build_parser() -> argparse.ArgumentParser:
+    """The argument parser, built on the first call and shared after it."""
     parser = argparse.ArgumentParser(
         prog="csfkit",
         description="Exact chromatic symmetric function toolkit",
@@ -212,19 +178,16 @@ def build_parser() -> argparse.ArgumentParser:
     mode = p.add_mutually_exclusive_group()
     mode.add_argument("--poly", action="store_true", help="print the polynomial (default)")
     mode.add_argument("--chromatic", type=int, metavar="K", help="print the k-coloring count")
-    p.set_defaults(func=cmd_csf)
 
     p = sub.add_parser("equal", help="compare the CSFs of two graphs")
     p.add_argument("file_a")
     p.add_argument("file_b")
-    p.set_defaults(func=cmd_equal)
 
     p = sub.add_parser("decompose", help="apply a rewriting rule at named edge indices")
     p.add_argument("input")
     p.add_argument("--rule", required=True, choices=["triangle", "path", "wedge", "reduce"])
     p.add_argument("--edges", help="comma-separated edge indices (not with reduce)")
     p.add_argument("--out", required=True, help="output path prefix for term files")
-    p.set_defaults(func=cmd_decompose)
 
     p = sub.add_parser("make-pair", help="glue two rooted trees into an equal-CSF pair")
     p.add_argument("tree1")
@@ -232,33 +195,32 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("tree2")
     p.add_argument("root2", type=int)
     p.add_argument("--out", required=True, help="output path prefix (_h/_j files)")
-    p.set_defaults(func=cmd_make_pair)
 
     p = sub.add_parser("theta", help="print singleton and pair cut data of a tree")
     p.add_argument("input")
-    p.set_defaults(func=cmd_theta)
 
     p = sub.add_parser("reconstruct", help="rebuild a single-centroid tree from cut data")
     p.add_argument("input", help="theta table file")
     p.add_argument("--pairs-only", action="store_true",
                    help="ignore singleton lines and reconstruct from pairs")
     p.add_argument("--out", required=True, help="output edge-list file")
-    p.set_defaults(func=cmd_reconstruct)
 
     p = sub.add_parser("search", help="enumerate a class and group equal-CSF graphs")
     p.add_argument("--n", type=int, required=True)
     p.add_argument("--class", dest="graph_class", required=True,
                    choices=["tree", "unicyclic"])
     p.add_argument("--max-edges", type=int, default=None)
-    p.set_defaults(func=cmd_search)
 
     return parser
 
 
 def main(argv=None) -> int:
     args = build_parser().parse_args(argv)
+    # Resolved on each call, not stored in the shared parser, so a command
+    # function replaced after the first call (patched or wrapped) is the one run.
+    command = globals()["cmd_" + args.command.replace("-", "_")]
     try:
-        return args.func(args)
+        return command(args)
     except ResourceLimitError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 4

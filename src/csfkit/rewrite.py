@@ -4,16 +4,23 @@ A triangle can be erased two ways (one term per deleted edge, minus the
 double deletion, or the doubled base-edge deletion), and an open wedge can
 be traded for its closing edge.  Each rule returns a formal integer
 combination of graphs on the same vertex set whose signed CSF sum equals
-X_G exactly; ``combination_csf`` evaluates that sum.
+X_G exactly; ``combination_csf`` evaluates that sum.  ``reduce_triangle_free``
+applies the triangle rule until no triangle remains, within a split budget.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
+from itertools import combinations
 
 from .csf import DEFAULT_MAX_EDGES, PowerSumPolynomial, chromatic_symmetric_function
+from .errors import ResourceLimitError
 from .graph import Graph
 from .partitions import Partition
+
+# Triangle splits one reduce_triangle_free call may make.  K6 in sorted edge
+# order takes 7,318 and K7 724,531, so K7 and larger are refused.
+REDUCE_WORK_LIMIT = 1 << 15
 
 
 @dataclass(frozen=True)
@@ -32,7 +39,7 @@ def _triangle_vertices(g: Graph, e1: int, e2: int, e3: int) -> tuple[int, int, i
         raise ValueError("triangle rule needs three distinct edge indices")
     for i in (e1, e2, e3):
         if not 0 <= i < g.edge_count:
-            raise IndexError(f"edge index {i} out of range")
+            raise ValueError(f"edge index {i} out of range")
     a, b, c = g.edges[e1], g.edges[e2], g.edges[e3]
     # Three distinct edges on three vertices are exactly a triangle.
     if len(set(a) | set(b) | set(c)) != 3:
@@ -63,7 +70,7 @@ def path_split(g: Graph, e1: int, e2: int) -> GraphCombination:
         raise ValueError("path rule needs two distinct edge indices")
     for i in (e1, e2):
         if not 0 <= i < g.edge_count:
-            raise IndexError(f"edge index {i} out of range")
+            raise ValueError(f"edge index {i} out of range")
     a, b = g.edges[e1], g.edges[e2]
     shared = set(a) & set(b)
     if len(shared) != 1:
@@ -90,6 +97,51 @@ def wedge_split(g: Graph, e1: int, e2: int, e3: int) -> GraphCombination:
         (-1, g.with_edges_removed([e2, e3])),
         (-1, g.with_edges_removed([e1, e3])),
     ))
+
+
+def _first_triangle(g: Graph) -> tuple[int, int, int] | None:
+    """Lowest-index (e1, e2, e3) forming a triangle, scanning edge pairs."""
+    for i, j in combinations(range(g.edge_count), 2):
+        a, b = g.edges[i], g.edges[j]
+        shared = set(a) & set(b)
+        if len(shared) != 1:
+            continue
+        v1 = (set(a) - shared).pop()
+        v2 = (set(b) - shared).pop()
+        if g.has_edge(v1, v2):
+            return i, j, g.index_of(v1, v2)
+    return None
+
+
+def reduce_triangle_free(g: Graph) -> GraphCombination:
+    """Erase triangles with ``triangle_split`` until none remain.
+
+    Each rewrite replaces a graph by graphs with strictly fewer edges, so
+    this terminates; the result is triangle-free but not necessarily a
+    forest combination.  Identical graphs are merged only once triangle-free.
+    The number of splits is not known in advance, so the budget is a running
+    count: the split after the first REDUCE_WORK_LIMIT raises
+    ResourceLimitError.
+    """
+    pending: list[tuple[int, Graph]] = [(1, g)]
+    settled: dict[tuple[int, frozenset], tuple[int, Graph]] = {}
+    splits = 0
+    while pending:
+        coeff, h = pending.pop()
+        tri = _first_triangle(h)
+        if tri is None:
+            key = (h.vertex_count, frozenset(h.edges))
+            old_coeff = settled[key][0] if key in settled else 0
+            settled[key] = (old_coeff + coeff, h)
+            continue
+        splits += 1
+        if splits > REDUCE_WORK_LIMIT:
+            raise ResourceLimitError(f"triangle reduce needs more than {REDUCE_WORK_LIMIT} splits")
+        for sub_coeff, sub in triangle_split(h, *tri).terms:
+            pending.append((coeff * sub_coeff, sub))
+    terms = [(c, h) for c, h in settled.values() if c]
+    terms.sort(key=lambda item: (-item[1].edge_count, item[1].edges))
+    return GraphCombination(tuple(terms))
 
 
 def combination_csf(c: GraphCombination,

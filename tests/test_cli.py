@@ -1,5 +1,10 @@
+import argparse
+import os
+import subprocess
+import sys
 import time
 from itertools import combinations
+from pathlib import Path
 
 import pytest
 
@@ -13,6 +18,8 @@ from csfkit import (
     parse_graph,
     theta,
 )
+import csfkit
+from csfkit import rewrite
 from csfkit.cli import main
 from csfkit.graph import is_connected
 from csfkit.search import run_search
@@ -186,6 +193,32 @@ def test_decompose_requires_edges_for_named_rules(tmp_path, capsys):
     code, _, err = run(capsys, ["decompose", path, "--rule", "path", "--out", str(tmp_path / "x")])
     assert code == 3
     assert "requires --edges" in err
+
+
+@pytest.mark.parametrize("rule, edges, bad", [
+    ("triangle", "0,1,99", 99), ("triangle", "0,-1,2", -1),
+    ("wedge", "0,1,99", 99), ("wedge", "0,-1,2", -1),
+    ("path", "0,99", 99), ("path", "0,-1", -1),
+])
+def test_decompose_bad_edge_index_is_a_data_error(tmp_path, capsys, rule, edges, bad):
+    path = write_graph(tmp_path, "k3.graph", Graph(3, ((0, 1), (0, 2), (1, 2))))
+    code, out, err = run(capsys, ["decompose", path, "--rule", rule, "--edges", edges,
+                                  "--out", str(tmp_path / "x")])
+    assert code == 3
+    assert out == ""
+    assert err == f"error: edge index {bad} out of range\n"
+
+
+def test_decompose_reduce_refuses_past_split_budget(tmp_path, capsys, monkeypatch):
+    monkeypatch.setattr(rewrite, "REDUCE_WORK_LIMIT", 100)
+    path = write_graph(tmp_path, "k6.graph", Graph(6, tuple(combinations(range(6), 2))))
+    start = time.perf_counter()
+    code, out, err = run(capsys, ["decompose", path, "--rule", "reduce",
+                                  "--out", str(tmp_path / "red")])
+    assert code == 4
+    assert out == ""
+    assert "more than 100 splits" in err
+    assert time.perf_counter() - start < 5.0
 
 
 # ---------------------------------------------------------------------------
@@ -365,3 +398,70 @@ def test_unicyclic_key_counts():
         graphs = list(enumerate_unicyclic(n))
         assert len({unicyclic_canonical_key(g) for g in graphs}) == len(graphs) == want
         assert all(g.edge_count == n and is_connected(g) for g in graphs)
+
+
+# ---------------------------------------------------------------------------
+# one process, many calls
+
+SRC = str(Path(csfkit.__file__).resolve().parent.parent)
+
+
+def run_fresh(argv, env):
+    """Exit code, stdout and stderr of ``main(argv)`` in a new interpreter."""
+    proc = subprocess.run(
+        [sys.executable, "-c", "import sys; from csfkit.cli import main; sys.exit(main(sys.argv[1:]))",
+         *argv],
+        capture_output=True, text=True, timeout=120, env={**env, "PYTHONPATH": SRC},
+    )
+    return proc.returncode, proc.stdout, proc.stderr
+
+
+def test_repeated_main_calls_match_fresh_calls_and_share_one_parser(tmp_path, capsys, monkeypatch):
+    monkeypatch.setenv("COLUMNS", "80")
+    monkeypatch.delenv("CSFKIT_MAX_EDGES", raising=False)
+    a = write_graph(tmp_path, "a.graph", COLLISION_LEFT6)
+    b = write_graph(tmp_path, "b.graph", COLLISION_RIGHT6)
+    calls = [
+        (["csf", a], None, 0),
+        (["csf"], None, 2),
+        (["equal", a, b], None, 0),
+        (["csf", a], "3", 4),
+        (["csf", a], None, 0),
+    ]
+    parsers = []
+    parse_args = argparse.ArgumentParser.parse_args
+
+    def recording_parse_args(self, *args, **kwargs):
+        parsers.append(self)
+        return parse_args(self, *args, **kwargs)
+
+    monkeypatch.setattr(argparse.ArgumentParser, "parse_args", recording_parse_args)
+    for argv, max_edges, want_code in calls:
+        if max_edges is None:
+            monkeypatch.delenv("CSFKIT_MAX_EDGES", raising=False)
+        else:
+            monkeypatch.setenv("CSFKIT_MAX_EDGES", max_edges)
+        try:
+            code = main(argv)
+        except SystemExit as exc:
+            code = exc.code
+        captured = capsys.readouterr()
+        assert code == want_code
+        assert (code, captured.out, captured.err) == run_fresh(argv, dict(os.environ))
+    assert len(parsers) == len(calls)
+    assert all(p is parsers[0] for p in parsers)
+
+
+def test_importing_cli_builds_no_parser():
+    script = (
+        "import argparse\n"
+        "built = []\n"
+        "init = argparse.ArgumentParser.__init__\n"
+        "argparse.ArgumentParser.__init__ = lambda self, *a, **k: built.append(self) or init(self, *a, **k)\n"
+        "import csfkit.cli\n"
+        "print(len(built))\n"
+    )
+    proc = subprocess.run([sys.executable, "-c", script], capture_output=True, text=True,
+                          timeout=120, env={**os.environ, "PYTHONPATH": SRC})
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout == "0\n"

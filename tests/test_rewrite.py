@@ -12,6 +12,8 @@ from csfkit import (
     triangle_split,
     wedge_split,
 )
+from csfkit import rewrite
+from csfkit.errors import ResourceLimitError
 
 from fixtures import (
     PENTAGON,
@@ -244,3 +246,23 @@ def test_zero_coefficients_dropped():
 
     combo = GraphCombination(((0, K3), (2, P3)))
     assert len(combo.terms) == 1
+
+
+def test_reduce_split_budget_is_exact(monkeypatch):
+    k5 = Graph(5, tuple(combinations(range(5), 2)))
+    splits = []
+
+    def counting_split(g, *edges):
+        splits.append(edges)
+        return triangle_split(g, *edges)
+
+    monkeypatch.setattr(rewrite, "triangle_split", counting_split)
+    full = rewrite.reduce_triangle_free(k5)
+    needed = len(splits)
+    assert needed > 1
+    monkeypatch.setattr(rewrite, "REDUCE_WORK_LIMIT", needed)
+    assert rewrite.reduce_triangle_free(k5) == full
+    monkeypatch.setattr(rewrite, "REDUCE_WORK_LIMIT", needed - 1)
+    with pytest.raises(ResourceLimitError, match=f"more than {needed - 1} splits"):
+        rewrite.reduce_triangle_free(k5)
+    assert combination_csf(full).terms == chromatic_symmetric_function(k5).terms
