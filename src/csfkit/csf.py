@@ -19,7 +19,7 @@ from dataclasses import dataclass
 from math import comb
 
 from .errors import ResourceLimitError
-from .graph import Graph, connected_components, cycle_vertices
+from .graph import Graph, _bfs, connected_components, cycle_vertices
 from .partitions import Partition, parse_partition_key, partition_key
 
 DEFAULT_MAX_EDGES = 30
@@ -129,9 +129,7 @@ def _vertex_dp_terms(comp: list[int], adj, pw: list[int]) -> dict[int, int]:
     h(R) = sum over connected B containing min(R) of c(B) p_|B| h(R - B),
     run forward with the remaining sets R grouped by their least vertex.
     """
-    order = [comp[0]]  # breadth-first labels keep the reachable R few
-    for x in order:
-        order += [y for y in adj[x] if y not in order]
+    order = _bfs(adj, comp[0], [-1] * len(adj))  # breadth-first labels keep the reachable R few
     k, local = len(order), {v: i for i, v in enumerate(order)}
     nbr = [sum(1 << local[w] for w in adj[v]) for v in order]
     full, c = (1 << k) - 1, {}

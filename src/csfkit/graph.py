@@ -132,63 +132,50 @@ def parse_graph(text: str) -> Graph:
 # Components and subset types
 
 
-def _component_sizes(n: int, edges: Iterable[tuple[int, int]]) -> list[int]:
-    """Orders of the components of the spanning subgraph with these edges."""
-    parent = list(range(n))
-    size = [1] * n
-    for u, v in edges:
-        while parent[u] != u:
-            parent[u] = parent[parent[u]]
-            u = parent[u]
-        while parent[v] != v:
-            parent[v] = parent[parent[v]]
-            v = parent[v]
-        if u != v:
-            if size[u] < size[v]:
-                u, v = v, u
-            parent[v] = u
-            size[u] += size[v]
-    return sorted((size[i] for i in range(n) if parent[i] == i), reverse=True)
+def _bfs(adj, root: int, parent: list[int]) -> list[int]:
+    """Vertices reachable from root in breadth-first order.  ``parent`` is also
+    the visited mark (negative: unvisited); each vertex reached gets the vertex
+    it was reached from, and the root gets itself."""
+    parent[root] = root
+    order = [root]
+    for x in order:
+        for y in adj[x]:
+            if parent[y] < 0:
+                parent[y] = x
+                order.append(y)
+    return order
+
+
+def _components(adj) -> list[list[int]]:
+    """Breadth-first vertex order of each component, in first-vertex order."""
+    parent = [-1] * len(adj)
+    return [_bfs(adj, s, parent) for s in range(len(adj)) if parent[s] < 0]
 
 
 def pi_type(g: Graph, edge_indices: Iterable[int]) -> Partition:
     """Type of an edge subset: component orders of (V, S), largest first."""
-    chosen = []
+    adj: list[list[int]] = [[] for _ in range(g.vertex_count)]
     for i in edge_indices:
         if not 0 <= i < g.edge_count:
             raise IndexError(f"edge index {i} out of range")
-        chosen.append(g.edges[i])
-    return tuple(_component_sizes(g.vertex_count, chosen))
+        u, v = g.edges[i]
+        adj[u].append(v)
+        adj[v].append(u)
+    return tuple(sorted(map(len, _components(adj)), reverse=True))
 
 
 def connected_components(g: Graph) -> list[list[int]]:
     """Vertex lists of the components, each sorted, in first-vertex order."""
-    seen = [False] * g.vertex_count
-    comps = []
-    for s in range(g.vertex_count):
-        if seen[s]:
-            continue
-        comp = [s]
-        seen[s] = True
-        queue = deque([s])
-        while queue:
-            x = queue.popleft()
-            for y in g.adjacency[x]:
-                if not seen[y]:
-                    seen[y] = True
-                    comp.append(y)
-                    queue.append(y)
-        comps.append(sorted(comp))
-    return comps
+    return [sorted(c) for c in _components(g.adjacency)]
 
 
 def is_connected(g: Graph) -> bool:
-    return g.vertex_count <= 1 or len(connected_components(g)) == 1
+    return len(_components(g.adjacency)) <= 1
 
 
 def is_forest(g: Graph) -> bool:
     """No cycles: every component has one more vertex than it has edges."""
-    return len(connected_components(g)) == g.vertex_count - g.edge_count
+    return len(_components(g.adjacency)) == g.vertex_count - g.edge_count
 
 
 def is_tree(g: Graph) -> bool:
@@ -290,31 +277,16 @@ def structural_report(g: Graph) -> StructuralReport:
 
 
 def vertex_weights(t: Graph) -> list[int]:
-    """weight(v) = largest component order of T - v (0 for the 1-vertex tree)."""
+    """weight(v) = largest component order of T - v (0 for the 1-vertex tree):
+    the larger of v's largest child subtree and the rest of T above v."""
     require_tree(t, "vertex_weights")
     n = t.vertex_count
-    adj = t.adjacency
-    weights = []
-    for v in range(n):
-        best = 0
-        seen = [False] * n
-        seen[v] = True
-        for start in adj[v]:
-            if seen[start]:
-                continue
-            count = 1
-            seen[start] = True
-            queue = deque([start])
-            while queue:
-                x = queue.popleft()
-                for y in adj[x]:
-                    if not seen[y]:
-                        seen[y] = True
-                        count += 1
-                        queue.append(y)
-            best = max(best, count)
-        weights.append(best)
-    return weights
+    parent, size, heavy = [-1] * n, [1] * n, [0] * n  # heavy: largest child subtree
+    for v in reversed(_bfs(t.adjacency, 0, parent)[1:]):
+        p = parent[v]
+        size[p] += size[v]
+        heavy[p] = max(heavy[p], size[v])
+    return [max(h, n - s) for h, s in zip(heavy, size)]
 
 
 def centroid(t: Graph) -> tuple[int, ...]:
@@ -368,36 +340,25 @@ def cycle_stats(g: Graph) -> CycleStats:
 def rooted_code(t: Graph, root: int) -> str:
     """Canonical nested-parenthesis encoding of a rooted tree."""
     require_tree(t, "rooted_code")
-    adj = t.adjacency
-
-    def code(v: int, parent: int) -> str:
-        children = sorted(code(w, v) for w in adj[v] if w != parent)
-        return "(" + "".join(children) + ")"
-
-    return code(root, -1)
+    parent = [-1] * t.vertex_count
+    children: list[list[str]] = [[] for _ in range(t.vertex_count)]
+    for v in reversed(_bfs(t.adjacency, root, parent)):  # the root comes last
+        code = "(" + "".join(sorted(children[v])) + ")"
+        children[parent[v]].append(code)
+    return code
 
 
 def _tree_centers(t: Graph) -> list[int]:
-    """Middle vertex or vertex pair of the longest paths, by leaf stripping."""
-    n = t.vertex_count
-    if n == 1:
-        return [0]
-    deg = t.degrees()
-    alive = n
-    removed = [False] * n
-    layer = [v for v in range(n) if deg[v] == 1]
-    while alive > 2:
-        nxt = []
-        for v in layer:
-            removed[v] = True
-            alive -= 1
-            for w in t.adjacency[v]:
-                if not removed[w]:
-                    deg[w] -= 1
-                    if deg[w] == 1:
-                        nxt.append(w)
-        layer = nxt
-    return [v for v in range(n) if not removed[v]]
+    """Middle vertex or vertex pair of a longest path, found by double BFS
+    (a breadth-first order ends at a vertex farthest from its root)."""
+    adj, n = t.adjacency, t.vertex_count
+    end = _bfs(adj, 0, [-1] * n)[-1]
+    parent = [-1] * n
+    path = [_bfs(adj, end, parent)[-1]]
+    while path[-1] != end:
+        path.append(parent[path[-1]])
+    d = len(path)
+    return sorted(path[(d - 1) // 2:d // 2 + 1])
 
 
 def canonical_tree_code(t: Graph) -> str:

@@ -13,11 +13,12 @@ placed edges that attract it.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import cached_property
 from itertools import combinations
 
 from .csf import chromatic_symmetric_function
 from .errors import InconsistentDataError, TwoCentroidError
-from .graph import Graph, centroid, is_forest, pi_type, require_tree
+from .graph import Graph, _bfs, centroid, is_forest, pi_type, require_tree
 from .partitions import (
     Partition,
     parse_partition_key,
@@ -63,8 +64,11 @@ class ThetaTable:
         return self.pairs[self.pair_key(a, b)]
 
     def pair_key(self, a: str, b: str) -> tuple[str, str]:
-        order = {lab: i for i, lab in enumerate(self.edge_labels)}
-        return (a, b) if order[a] < order[b] else (b, a)
+        return (a, b) if self._position[a] < self._position[b] else (b, a)
+
+    @cached_property
+    def _position(self) -> dict[str, int]:
+        return {lab: i for i, lab in enumerate(self.edge_labels)}
 
     def to_text(self, include_singletons: bool = True) -> str:
         lines = [f"theta n={self.n} m={self.m}"]
@@ -128,8 +132,18 @@ class ThetaTable:
 def theta(t: Graph, edge_indices) -> Partition:
     """Cut image of an edge set: type of the complement edge set."""
     require_tree(t, "theta")
-    removed = set(edge_indices)
+    removed: set[int] = set()
+    for i in edge_indices:
+        _check_edge_index(t, i)
+        if i in removed:
+            raise ValueError(f"edge index {i} repeated")
+        removed.add(i)
     return pi_type(t, [i for i in range(t.edge_count) if i not in removed])
+
+
+def _check_edge_index(t: Graph, i: int) -> None:
+    if not 0 <= i < t.edge_count:
+        raise ValueError(f"edge index {i} out of range 0..{t.edge_count - 1}")
 
 
 def theta_tables(t: Graph) -> ThetaTable:
@@ -151,27 +165,20 @@ def theta_tables(t: Graph) -> ThetaTable:
 
 def _path_edges(t: Graph, start: int, goal: int) -> set[int]:
     """Edge indices on the unique start-goal path."""
-    parent = {start: (-1, -1)}
-    stack = [start]
-    while stack:
-        x = stack.pop()
-        if x == goal:
-            break
-        for y in t.adjacency[x]:
-            if y not in parent:
-                parent[y] = (x, t.index_of(x, y))
-                stack.append(y)
+    parent = [-1] * t.vertex_count
+    _bfs(t.adjacency, start, parent)
     path = set()
-    x = goal
-    while x != start:
-        x, idx = parent[x]
-        path.add(idx)
+    while goal != start:
+        path.add(t.index_of(goal, parent[goal]))
+        goal = parent[goal]
     return path
 
 
 def attracts(t: Graph, ea: int, eb: int) -> bool:
     """True if some path through both edges ends at a centroid."""
     require_tree(t, "attracts")
+    _check_edge_index(t, ea)
+    _check_edge_index(t, eb)
     if ea == eb:
         raise ValueError("attraction is defined for distinct edges")
     endpoints = set(t.edges[ea]) | set(t.edges[eb])
@@ -223,8 +230,7 @@ def attracts_from_theta(n: int, theta_a: Partition, theta_b: Partition,
 
 def _sorted_labels(tbl: ThetaTable) -> list[str]:
     """Most balanced cut first; ties broken by label position."""
-    position = {lab: i for i, lab in enumerate(tbl.edge_labels)}
-    return sorted(tbl.edge_labels, key=lambda lab: (-tbl.singletons[lab][1], position[lab]))
+    return sorted(tbl.edge_labels, key=lambda lab: (-tbl.singletons[lab][1], tbl._position[lab]))
 
 
 def reconstruct_from_theta(tbl: ThetaTable) -> tuple[Graph, dict[str, int]]:

@@ -2,9 +2,9 @@
 
 Everything here recomputes quantities the package also computes, by a
 different route: Pruefer sequences for tree enumeration, explicit vertex
-bijections for isomorphism, X_G by enumerating all 2^E edge subsets (the
-definition, against which the package's structured kernels are checked), and
-a component-tracking dynamic program that expands X_G for forests and
+bijections for isomorphism, a union-find for component orders, X_G by
+enumerating all 2^E edge subsets (the definition, against which the package's
+structured kernels are checked), and a component-tracking dynamic program that expands X_G for forests and
 connected unicyclic graphs without touching 2^E subsets.  The DP lets the
 suite check CSF equality on glued pairs far beyond what the subset
 enumerator can reach in test time.  The collision search is redone the
@@ -106,41 +106,33 @@ def brute_force_isomorphic(a: Graph, b: Graph) -> bool:
 # Edge-subset expansion of X_G, the definition itself
 
 
+def component_orders(n: int, edges) -> tuple[int, ...]:
+    """Component orders of the spanning subgraph (V, edges), largest first,
+    by a union-find with path halving and union by size."""
+    parent = list(range(n))
+    size = [1] * n
+    for u, v in edges:
+        while parent[u] != u:
+            parent[u] = parent[parent[u]]
+            u = parent[u]
+        while parent[v] != v:
+            parent[v] = parent[parent[v]]
+            v = parent[v]
+        if u != v:
+            if size[u] < size[v]:
+                u, v = v, u
+            parent[v] = u
+            size[u] += size[v]
+    return tuple(sorted((size[i] for i in range(n) if parent[i] == i), reverse=True))
+
+
 def subset_csf(g: Graph) -> PowerSumPolynomial:
     """X_G by visiting all 2^m edge subsets, each typed by a fresh union-find."""
-    n = g.vertex_count
-    eu = [u for u, _ in g.edges]
-    ev = [v for _, v in g.edges]
     terms: dict[tuple, int] = {}
-    get = terms.get
-    vrange = range(n)
     for mask in range(1 << g.edge_count):
-        parent = list(vrange)
-        size = [1] * n
-        bits = mask
-        while bits:
-            low = bits & -bits
-            bits ^= low
-            i = low.bit_length() - 1
-            u = eu[i]
-            while parent[u] != u:
-                parent[u] = parent[parent[u]]
-                u = parent[u]
-            v = ev[i]
-            while parent[v] != v:
-                parent[v] = parent[parent[v]]
-                v = parent[v]
-            if u != v:
-                if size[u] < size[v]:
-                    u, v = v, u
-                parent[v] = u
-                size[u] += size[v]
-        key = tuple(sorted((size[i] for i in vrange if parent[i] == i), reverse=True))
-        if mask.bit_count() & 1:
-            terms[key] = get(key, 0) - 1
-        else:
-            terms[key] = get(key, 0) + 1
-    return PowerSumPolynomial(n, {k: c for k, c in terms.items() if c})
+        key = component_orders(g.vertex_count, [e for i, e in enumerate(g.edges) if mask >> i & 1])
+        terms[key] = terms.get(key, 0) + (-1 if mask.bit_count() & 1 else 1)
+    return PowerSumPolynomial(g.vertex_count, {k: c for k, c in terms.items() if c})
 
 
 # ---------------------------------------------------------------------------

@@ -17,7 +17,7 @@ from csfkit import (
     structural_report,
     vertex_weights,
 )
-from csfkit.graph import is_forest, rooted_code
+from csfkit.graph import _tree_centers, connected_components, is_forest, rooted_code
 
 from fixtures import (
     ATTRACTION_TREE17,
@@ -31,7 +31,7 @@ from fixtures import (
     TWO_CENTROID_WEIGHTS16,
     TYPE_DEMO_GRAPH11,
 )
-from oracles import all_labelled_trees, brute_force_isomorphic
+from oracles import all_labelled_trees, brute_force_isomorphic, component_orders
 
 K3 = Graph(3, ((0, 1), (0, 2), (1, 2)))
 
@@ -317,3 +317,90 @@ def test_rooted_code_distinguishes_roots():
 def test_attraction_tree_is_well_formed():
     assert ATTRACTION_TREE17.edge_count == 16
     assert centroid(ATTRACTION_TREE17) == (8,)
+
+
+# ---------------------------------------------------------------------------
+# breadth-first routines against independent routes
+
+
+def _eccentricity_centers(g: Graph) -> list[int]:
+    """Vertices of minimum eccentricity, from Floyd-Warshall distances."""
+    n = g.vertex_count
+    dist = [[0 if i == j else n for j in range(n)] for i in range(n)]
+    for u, v in g.edges:
+        dist[u][v] = dist[v][u] = 1
+    for k in range(n):
+        for i in range(n):
+            for j in range(n):
+                dist[i][j] = min(dist[i][j], dist[i][k] + dist[k][j])
+    ecc = [max(row) for row in dist]
+    return [v for v in range(n) if ecc[v] == min(ecc)]
+
+
+def test_weights_and_centers_match_brute_force_up_to_10():
+    for n in range(1, 11):
+        for k, t in enumerate(enumerate_trees(n)):
+            g = _relabel(t, seed=100 * n + k)
+            # T - v on n - 1 vertices: the labels above v shift down by one
+            weights = [
+                max(component_orders(n - 1, [(a - (a > v), b - (b > v))
+                                             for a, b in g.edges if v not in (a, b)]), default=0)
+                for v in range(n)
+            ]
+            assert vertex_weights(g) == weights
+            assert _tree_centers(g) == _eccentricity_centers(g)
+
+
+def test_pi_type_and_components_match_union_find():
+    rng = random.Random(59)
+    for _ in range(500):
+        n = rng.randint(1, 9)
+        pairs = list(combinations(range(n), 2))
+        g = Graph(n, tuple(sorted(rng.sample(pairs, rng.randint(0, len(pairs))))))
+        subset = [i for i in range(g.edge_count) if rng.random() < 0.5]
+        assert pi_type(g, subset) == component_orders(n, [g.edges[i] for i in subset])
+        comps = connected_components(g)
+        assert tuple(sorted(map(len, comps), reverse=True)) == component_orders(n, g.edges)
+        assert sorted(v for c in comps for v in c) == list(range(n))
+        assert all(c == sorted(c) for c in comps) and [c[0] for c in comps] == sorted(c[0] for c in comps)
+
+
+def _chain(k: int) -> str:
+    """Rooted code of a k-vertex path rooted at one end."""
+    return "(" * k + ")" * k
+
+
+def _path_case():
+    """P5001 in path order: weight max(i, n - 1 - i), centroid and center 2500."""
+    n = 5001
+    edges = [(i, i + 1) for i in range(n - 1)]
+    return n, edges, [max(i, n - 1 - i) for i in range(n)], 2500, "(" + _chain(2500) * 2 + ")"
+
+
+def _spider_case():
+    """Center 0 with three legs of 1000; a leg vertex at distance d weighs 2000 + d."""
+    edges = []
+    for leg in range(3):
+        first = 1 + 1000 * leg
+        edges.append((0, first))
+        edges += [(first + d, first + d + 1) for d in range(999)]
+    weights = [1000] + [2000 + d for _ in range(3) for d in range(1, 1001)]
+    return 3001, edges, weights, 0, "(" + _chain(1000) * 3 + ")"
+
+
+@pytest.mark.parametrize("case", [_path_case, _spider_case], ids=["path5001", "spider3x1000"])
+def test_deep_trees_match_closed_forms(case):
+    n, edges, weights, middle, code = case()
+    t = Graph(n, tuple(edges))
+    perm = list(range(n))
+    random.Random(n).shuffle(perm)
+    g = Graph(n, tuple(sorted(tuple(sorted((perm[a], perm[b]))) for a, b in edges)))
+    assert canonical_tree_code(t) == canonical_tree_code(g) == code
+    relabelled = [0] * n
+    for v in range(n):
+        relabelled[perm[v]] = weights[v]
+    assert vertex_weights(t) == weights
+    assert vertex_weights(g) == relabelled
+    assert centroid(t) == (middle,)
+    assert centroid(g) == (perm[middle],)
+    assert _tree_centers(g) == [perm[middle]]

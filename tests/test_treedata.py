@@ -47,6 +47,7 @@ from fixtures import (
 
 P3 = Graph(3, ((0, 1), (1, 2)))
 STAR4 = Graph(4, ((0, 1), (0, 2), (0, 3)))
+P5 = Graph(5, ((0, 1), (1, 2), (2, 3), (3, 4)))
 
 
 def labelled_tree(edge_map: dict[str, tuple[int, int]], n: int):
@@ -92,6 +93,21 @@ def test_theta_part_count_is_set_size_plus_one():
 def test_theta_rejects_non_tree():
     with pytest.raises(NotATreeError):
         theta(Graph(3, ((0, 1), (0, 2), (1, 2))), [0])
+
+
+@pytest.mark.parametrize("func, args, index", [
+    pytest.param(theta, ([99],), 99, id="theta-99"),
+    pytest.param(theta, ([-1],), -1, id="theta-minus-1"),
+    pytest.param(theta, ([0, 4],), 4, id="theta-m"),
+    pytest.param(theta, ([1, 1],), 1, id="theta-repeated"),
+    pytest.param(theta, ([2, 0, 2],), 2, id="theta-repeated-apart"),
+    pytest.param(attracts, (-1, 0), -1, id="attracts-minus-1"),
+    pytest.param(attracts, (99, 0), 99, id="attracts-99"),
+    pytest.param(attracts, (0, 4), 4, id="attracts-m"),
+])
+def test_bad_edge_indices_raise_value_error(func, args, index):
+    with pytest.raises(ValueError, match=f"edge index {index} "):
+        func(P5, *args)
 
 
 def test_theta_tables_p3_and_star():
