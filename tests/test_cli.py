@@ -221,6 +221,16 @@ def test_decompose_reduce_refuses_past_split_budget(tmp_path, capsys, monkeypatc
     assert time.perf_counter() - start < 5.0
 
 
+def test_decompose_reduce_runs_k7(tmp_path, capsys):
+    path = write_graph(tmp_path, "k7.graph", Graph(7, tuple(combinations(range(7), 2))))
+    prefix = str(tmp_path / "red")
+    code, out, err = run(capsys, ["decompose", path, "--rule", "reduce", "--out", prefix])
+    assert (code, err) == (0, "")
+    lines = out.splitlines()
+    assert len(lines) == 2520
+    assert [ln.split()[1] for ln in lines] == [f"{prefix}{i}.graph" for i in range(2520)]
+
+
 # ---------------------------------------------------------------------------
 # make-pair
 

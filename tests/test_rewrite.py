@@ -23,6 +23,7 @@ from fixtures import (
     TRIANGLE_DEMO_B,
     TRIANGLE_DEMO_B_INDICES,
 )
+from oracles import reduce_unmerged
 
 K3 = Graph(3, ((0, 1), (0, 2), (1, 2)))
 P3 = Graph(3, ((0, 1), (0, 2)))
@@ -266,3 +267,104 @@ def test_reduce_split_budget_is_exact(monkeypatch):
     with pytest.raises(ResourceLimitError, match=f"more than {needed - 1} splits"):
         rewrite.reduce_triangle_free(k5)
     assert combination_csf(full).terms == chromatic_symmetric_function(k5).terms
+
+
+# ---------------------------------------------------------------------------
+# triangle reduce: merged level by level against the depth-first route
+
+
+def clique(n: int) -> Graph:
+    return Graph(n, tuple(combinations(range(n), 2)))
+
+
+# The eight 7-vertex graphs of the benchmark's triangle-reduce commands:
+# concatenated "uv" digit pairs, in edge order.
+SEVEN_VERTEX_CODES = (
+    "01020512141516232425263545",
+    "03040513141623242635364546",
+    "0304061213141523243536454656",
+    "0102030406131416242526354656",
+    "010203121415162325263435364556",
+    "010304051415232425263435454656",
+    "01030405061213232425263536454656",
+    "01020304050612131423242634354546",
+)
+
+
+def decode(code: str) -> Graph:
+    return Graph(7, tuple((int(code[k]), int(code[k + 1])) for k in range(0, len(code), 2)))
+
+
+def relabelled(rng, n: int, edges) -> Graph:
+    """Random vertex permutation and random edge order."""
+    perm = list(range(n))
+    rng.shuffle(perm)
+    out = [tuple(sorted((perm[u], perm[v]))) for u, v in edges]
+    rng.shuffle(out)
+    return Graph(n, tuple(out))
+
+
+def count_splits(monkeypatch) -> list:
+    splits = []
+
+    def counting_split(g, *edges):
+        splits.append(edges)
+        return triangle_split(g, *edges)
+
+    monkeypatch.setattr(rewrite, "triangle_split", counting_split)
+    return splits
+
+
+def test_first_triangle_matches_pair_scan():
+    rng = random.Random(61)
+    free = 0
+    for _ in range(2400):
+        n = rng.randint(1, 8)
+        pool = list(combinations(range(n), 2))
+        rng.shuffle(pool)
+        g = Graph(n, tuple(pool[: rng.randint(0, len(pool))]))
+        want = find_triangle(g)
+        free += want is None
+        assert rewrite._first_triangle(g) == want, g
+    assert 300 < free < 2100
+
+
+def test_reduce_matches_unmerged_depth_first_route():
+    graphs = [clique(4), clique(5), clique(6)] + [decode(code) for code in SEVEN_VERTEX_CODES]
+    rng = random.Random(62)
+    for _ in range(300):
+        n = rng.randint(3, 7)
+        pool = list(combinations(range(n), 2))
+        rng.shuffle(pool)
+        graphs.append(relabelled(rng, n, pool[: rng.randint(0, min(len(pool), 12))]))
+    for g in graphs:
+        assert rewrite.reduce_triangle_free(g) == reduce_unmerged(g), g
+
+
+@pytest.mark.parametrize("n, splits", [(5, 41), (6, 256), (7, 1807)])
+def test_reduce_split_counts_on_cliques(monkeypatch, n, splits):
+    made = count_splits(monkeypatch)
+    rewrite.reduce_triangle_free(clique(n))
+    assert len(made) == splits
+
+
+def test_reduce_k7_sums_to_its_csf():
+    combo = rewrite.reduce_triangle_free(clique(7))
+    assert len(combo.terms) == 2520
+    assert combination_csf(combo) == chromatic_symmetric_function(clique(7))
+
+
+def test_reduce_refusal_holds_a_bounded_frontier(monkeypatch):
+    import tracemalloc
+
+    monkeypatch.setattr(rewrite, "REDUCE_WORK_LIMIT", 4096)
+    k16 = clique(16)
+    tracemalloc.start()
+    try:
+        with pytest.raises(ResourceLimitError, match="more than 4096 splits"):
+            rewrite.reduce_triangle_free(k16)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    # Masks keep this near 0.2 MB; a frontier keyed by edge tuples takes 1.9 MB.
+    assert peak < 1 << 20

@@ -19,6 +19,7 @@ from csfkit import (
     enumerate_trees,
     forest_type_counts,
     leaf_edges_from_pairs,
+    partition_key,
     pi_type,
     rearrange,
     reconstruct_from_pairs,
@@ -27,6 +28,7 @@ from csfkit import (
     theta,
     theta_tables,
 )
+from csfkit.errors import CsfkitError
 
 from fixtures import (
     AMBIGUOUS_SINGLETONS_LEFT7,
@@ -44,6 +46,7 @@ from fixtures import (
     TWO_CENTROID_PAIR14_SPOTS,
     cut_table13,
 )
+from oracles import prufer_tree
 
 P3 = Graph(3, ((0, 1), (1, 2)))
 STAR4 = Graph(4, ((0, 1), (0, 2), (0, 3)))
@@ -498,3 +501,68 @@ def test_theta_table_validation():
         ThetaTable(n=3, edge_labels=("a", "b"), singletons={}, pairs={})
     with pytest.raises(ValueError):
         ThetaTable(n=4, edge_labels=("a", "b"), singletons={}, pairs={("a", "b"): (2, 1)})
+
+
+# ---------------------------------------------------------------------------
+# Corrupted tables: a typed error or a tree that realizes the data
+
+
+def random_image(rng, n: int, parts: int):
+    cuts = sorted(rng.sample(range(1, n), parts - 1))
+    return rearrange(b - a for a, b in zip([0, *cuts], [*cuts, n]))
+
+
+def corrupt(rng, text: str, n: int) -> str:
+    """One seeded damage to a table's text: flip one image, drop or duplicate a
+    line, relabel one label of a line, or swap the images of two lines."""
+    head, *body = text.splitlines()
+    k = rng.randrange(len(body))
+    toks = body[k].split()
+    kind = rng.choice(("flip", "drop", "duplicate", "relabel", "swap"))
+    if kind == "flip":
+        toks[-1] = partition_key(random_image(rng, n, len(toks) - 1))
+        body[k] = " ".join(toks)
+    elif kind == "drop":
+        del body[k]
+    elif kind == "duplicate":
+        body.insert(rng.randrange(len(body) + 1), body[k])
+    elif kind == "relabel":
+        labels = sorted({tok for ln in body for tok in ln.split()[:-1]})
+        toks[rng.randrange(len(toks) - 1)] = rng.choice([*labels, "x"])
+        body[k] = " ".join(toks)
+    else:
+        j = rng.randrange(len(body))
+        other = body[j].split()
+        toks[-1], other[-1] = other[-1], toks[-1]
+        body[k], body[j] = " ".join(toks), " ".join(other)
+    return "\n".join([head, *body]) + "\n"
+
+
+def realizes(tree: Graph, label_to_index: dict, tbl: ThetaTable) -> bool:
+    got = theta_tables(tree)
+    index = {lab: str(i) for lab, i in label_to_index.items()}
+    return (all(got.singletons[index[lab]] == img for lab, img in tbl.singletons.items())
+            and all(got.pair(index[a], index[b]) == img for (a, b), img in tbl.pairs.items()))
+
+
+def test_corrupted_tables_fail_typed_or_rebuild_a_realizing_tree():
+    rng = random.Random(71)
+    outcomes = {"refused": 0, "rebuilt": 0}
+    for n in range(5, 14):
+        for _ in range(6):
+            t = prufer_tree(n, tuple(rng.randrange(n) for _ in range(n - 2)))
+            tables = theta_tables(t)
+            routes = ((tables.to_text(), reconstruct_from_theta),
+                      (tables.to_text(include_singletons=False), reconstruct_from_pairs))
+            for text, rebuild in routes:
+                for _ in range(15):
+                    try:
+                        tbl = ThetaTable.from_text(corrupt(rng, text, n))
+                        tree, label_to_index = rebuild(tbl)
+                    except (ValueError, CsfkitError):
+                        outcomes["refused"] += 1
+                        continue
+                    assert realizes(tree, label_to_index, tbl)
+                    outcomes["rebuilt"] += 1
+    assert sum(outcomes.values()) == 9 * 6 * 2 * 15
+    assert min(outcomes.values()) > 50
