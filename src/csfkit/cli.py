@@ -132,12 +132,8 @@ def cmd_theta(args) -> int:
 def cmd_reconstruct(args) -> int:
     with open(args.input, "r", encoding="ascii") as fh:
         tbl = ThetaTable.from_text(fh.read())
-    if args.pairs_only:
-        stripped = ThetaTable(n=tbl.n, edge_labels=tbl.edge_labels,
-                              singletons={}, pairs=dict(tbl.pairs))
-        tree, _ = reconstruct_from_pairs(stripped)
-    else:
-        tree, _ = reconstruct_from_theta(tbl)
+    rebuild = reconstruct_from_pairs if args.pairs_only else reconstruct_from_theta
+    tree, _ = rebuild(tbl)
     _write_text(args.out, tree.to_text())
     print("CONSISTENT")
     return 0

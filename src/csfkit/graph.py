@@ -70,9 +70,7 @@ class Graph:
     def with_edges_removed(self, indices: Iterable[int]) -> "Graph":
         """Copy without the given edge indices; survivors keep their order."""
         drop = set(indices)
-        for i in drop:
-            if not 0 <= i < len(self.edges):
-                raise IndexError(f"edge index {i} out of range")
+        _check_edge_indices(self, drop)
         kept = tuple(e for i, e in enumerate(self.edges) if i not in drop)
         return Graph(self.vertex_count, kept)
 
@@ -152,12 +150,20 @@ def _components(adj) -> list[list[int]]:
     return [_bfs(adj, s, parent) for s in range(len(adj)) if parent[s] < 0]
 
 
+def _check_edge_indices(g: Graph, indices) -> None:
+    """ValueError naming the first of a collection's indices outside 0..m-1."""
+    m = g.edge_count
+    if indices and (min(indices) < 0 or max(indices) >= m):
+        bad = next(i for i in indices if not 0 <= i < m)
+        raise ValueError(f"edge index {bad} out of range 0..{m - 1}")
+
+
 def pi_type(g: Graph, edge_indices: Iterable[int]) -> Partition:
     """Type of an edge subset: component orders of (V, S), largest first."""
+    edge_indices = list(edge_indices)
+    _check_edge_indices(g, edge_indices)
     adj: list[list[int]] = [[] for _ in range(g.vertex_count)]
     for i in edge_indices:
-        if not 0 <= i < g.edge_count:
-            raise IndexError(f"edge index {i} out of range")
         u, v = g.edges[i]
         adj[u].append(v)
         adj[v].append(u)

@@ -15,7 +15,7 @@ from itertools import compress
 
 from .csf import DEFAULT_MAX_EDGES, PowerSumPolynomial, chromatic_symmetric_function
 from .errors import ResourceLimitError
-from .graph import Graph
+from .graph import Graph, _check_edge_indices
 from .partitions import Partition
 
 # Triangle splits one reduce_triangle_free call may make.  With equal pending
@@ -34,26 +34,19 @@ class GraphCombination:
         object.__setattr__(self, "terms", tuple((c, g) for c, g in self.terms if c != 0))
 
 
-def _triangle_vertices(g: Graph, e1: int, e2: int, e3: int) -> tuple[int, int, int]:
-    """The vertices (v, v1, v2) with e1 = v-v1, e2 = v-v2, e3 = v1-v2."""
+def _check_triangle(g: Graph, e1: int, e2: int, e3: int) -> None:
+    """ValueError unless e1, e2, e3 are three distinct edges of one triangle."""
     if len({e1, e2, e3}) != 3:
         raise ValueError("triangle rule needs three distinct edge indices")
-    for i in (e1, e2, e3):
-        if not 0 <= i < g.edge_count:
-            raise ValueError(f"edge index {i} out of range")
-    a, b, c = g.edges[e1], g.edges[e2], g.edges[e3]
+    _check_edge_indices(g, (e1, e2, e3))
     # Three distinct edges on three vertices are exactly a triangle.
-    if len(set(a) | set(b) | set(c)) != 3:
+    if len({*g.edges[e1], *g.edges[e2], *g.edges[e3]}) != 3:
         raise ValueError(f"edges {e1}, {e2}, {e3} do not form a triangle")
-    v = (set(a) & set(b)).pop()
-    v1 = (set(a) - {v}).pop()
-    v2 = (set(b) - {v}).pop()
-    return v, v1, v2
 
 
 def triangle_split(g: Graph, e1: int, e2: int, e3: int) -> GraphCombination:
     """Erase a triangle: X_G = X_{G-e1} + X_{G-e2} - X_{G-e1-e2}."""
-    _triangle_vertices(g, e1, e2, e3)
+    _check_triangle(g, e1, e2, e3)
     return GraphCombination((
         (1, g.with_edges_removed([e1])),
         (1, g.with_edges_removed([e2])),
@@ -69,9 +62,7 @@ def path_split(g: Graph, e1: int, e2: int) -> GraphCombination:
     """
     if e1 == e2:
         raise ValueError("path rule needs two distinct edge indices")
-    for i in (e1, e2):
-        if not 0 <= i < g.edge_count:
-            raise ValueError(f"edge index {i} out of range")
+    _check_edge_indices(g, (e1, e2))
     a, b = g.edges[e1], g.edges[e2]
     shared = set(a) & set(b)
     if len(shared) != 1:
@@ -91,7 +82,7 @@ def path_split(g: Graph, e1: int, e2: int) -> GraphCombination:
 def wedge_split(g: Graph, e1: int, e2: int, e3: int) -> GraphCombination:
     """Erase a triangle into wedges:
     X_G = 2 X_{G-e3} + X_{G-e1-e2} - X_{G-e2-e3} - X_{G-e1-e3}."""
-    _triangle_vertices(g, e1, e2, e3)
+    _check_triangle(g, e1, e2, e3)
     return GraphCombination((
         (2, g.with_edges_removed([e3])),
         (1, g.with_edges_removed([e1, e2])),

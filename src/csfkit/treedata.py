@@ -6,19 +6,21 @@ that set.  Singleton images are 2-part, pair images 3-part.  A tree with a
 single centroid is determined by its singleton and pair images, and even by
 the pair images alone; the reconstruction algorithms here follow that
 constructive proof: order edges by how balanced their cut is, then grow the
-tree, attaching each edge at the end of the path formed by the already
-placed edges that attract it.
+tree from the centroid, attaching each edge below the deepest already placed
+edge that attracts it.  ``theta_tables`` is the one routine that computes a
+tree's cut images; a reconstruction is accepted only if the images it
+computes for the rebuilt tree equal the input table, entry by entry.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from functools import cached_property
-from itertools import combinations
+from itertools import combinations, islice
 
 from .csf import chromatic_symmetric_function
 from .errors import InconsistentDataError, TwoCentroidError
-from .graph import Graph, _bfs, centroid, is_forest, pi_type, require_tree
+from .graph import Graph, _bfs, _check_edge_indices, centroid, is_forest, pi_type, require_tree
 from .partitions import (
     Partition,
     parse_partition_key,
@@ -132,18 +134,23 @@ class ThetaTable:
 def theta(t: Graph, edge_indices) -> Partition:
     """Cut image of an edge set: type of the complement edge set."""
     require_tree(t, "theta")
+    edge_indices = list(edge_indices)
+    _check_edge_indices(t, edge_indices)
     removed: set[int] = set()
     for i in edge_indices:
-        _check_edge_index(t, i)
         if i in removed:
             raise ValueError(f"edge index {i} repeated")
         removed.add(i)
     return pi_type(t, [i for i in range(t.edge_count) if i not in removed])
 
 
-def _check_edge_index(t: Graph, i: int) -> None:
-    if not 0 <= i < t.edge_count:
-        raise ValueError(f"edge index {i} out of range 0..{t.edge_count - 1}")
+def _cut_images(t: Graph, edges):
+    """Cut images of each listed edge, then of each pair of them, in list
+    order, as (positions in ``edges``, image)."""
+    for k, i in enumerate(edges):
+        yield (k,), theta(t, [i])
+    for (k, i), (l, j) in combinations(enumerate(edges), 2):
+        yield (k, l), theta(t, [i, j])
 
 
 def theta_tables(t: Graph) -> ThetaTable:
@@ -151,11 +158,9 @@ def theta_tables(t: Graph) -> ThetaTable:
     require_tree(t, "theta_tables")
     m = t.edge_count
     labels = tuple(str(i) for i in range(m))
-    singles = {labels[i]: theta(t, [i]) for i in range(m)}
-    pairs = {
-        (labels[i], labels[j]): theta(t, [i, j])
-        for i, j in combinations(range(m), 2)
-    }
+    images = _cut_images(t, range(m))
+    singles = {labels[k]: img for (k,), img in islice(images, m)}
+    pairs = {(labels[k], labels[l]): img for (k, l), img in images}
     return ThetaTable(n=t.vertex_count, edge_labels=labels, singletons=singles, pairs=pairs)
 
 
@@ -163,31 +168,29 @@ def theta_tables(t: Graph) -> ThetaTable:
 # Attraction
 
 
-def _path_edges(t: Graph, start: int, goal: int) -> set[int]:
-    """Edge indices on the unique start-goal path."""
-    parent = [-1] * t.vertex_count
-    _bfs(t.adjacency, start, parent)
-    path = set()
-    while goal != start:
-        path.add(t.index_of(goal, parent[goal]))
-        goal = parent[goal]
-    return path
-
-
 def attracts(t: Graph, ea: int, eb: int) -> bool:
-    """True if some path through both edges ends at a centroid."""
+    """True if some path through both edges ends at a centroid: rooted at
+    that centroid, one edge's lower endpoint lies below the other's."""
     require_tree(t, "attracts")
-    _check_edge_index(t, ea)
-    _check_edge_index(t, eb)
+    _check_edge_indices(t, (ea, eb))
     if ea == eb:
         raise ValueError("attraction is defined for distinct edges")
-    endpoints = set(t.edges[ea]) | set(t.edges[eb])
     for c in centroid(t):
-        for tip in endpoints:
-            path = _path_edges(t, c, tip)
-            if ea in path and eb in path:
-                return True
+        parent = [-1] * t.vertex_count
+        _bfs(t.adjacency, c, parent)
+        x, y = (v if parent[v] == u else u for u, v in (t.edges[ea], t.edges[eb]))
+        if _below(parent, x, y) or _below(parent, y, x):
+            return True
     return False
+
+
+def _below(parent: list[int], v: int, top: int) -> bool:
+    """True if ``top`` is ``v`` or one of its ancestors (the root is its own parent)."""
+    while v != top:
+        if parent[v] == v:
+            return False
+        v = parent[v]
+    return True
 
 
 def attracts_from_theta(n: int, theta_a: Partition, theta_b: Partition,
@@ -254,64 +257,41 @@ def reconstruct_from_theta(tbl: ThetaTable) -> tuple[Graph, dict[str, int]]:
             )
 
     order = _sorted_labels(tbl)
-    edges: list[tuple[int, int]] = []  # placement order; endpoint pairs unordered
-    label_to_index: dict[str, int] = {}
-    incident: dict[int, list[int]] = {0: []}  # vertex -> placed edge indices
-    next_vertex = 1
-
-    for label in order:
-        attracting: set[int] = set()
-        for placed in order[: len(edges)]:
+    edges: list[tuple[int, int]] = []  # edge k runs from its parent to vertex k + 1
+    for index, label in enumerate(order):
+        # Cuts shrink down every root path and bigger cuts are placed first,
+        # so the attracting edges are this edge's root path, deepest last.
+        at = 0
+        for k, placed in enumerate(order[:index]):
             key = tbl.pair_key(placed, label)
             try:
-                pulled = attracts_from_theta(
-                    n, tbl.singletons[placed], tbl.singletons[label], tbl.pairs[key]
-                )
+                if attracts_from_theta(n, tbl.singletons[placed], tbl.singletons[label], tbl.pairs[key]):
+                    at = k + 1
             except InconsistentDataError as exc:
                 raise InconsistentDataError(f"pair {key}: {exc}") from None
-            if pulled:
-                attracting.add(label_to_index[placed])
-        # Walk the attracting edges as a path out of the centroid.
-        at = 0
-        remaining = set(attracting)
-        while remaining:
-            steps = [i for i in incident[at] if i in remaining]
-            if len(steps) != 1:
-                raise InconsistentDataError(
-                    f"edges attracting {label} do not form a path from the centroid"
-                )
-            idx = steps[0]
-            remaining.discard(idx)
-            a, b = edges[idx]
-            at = b if a == at else a
-        index = len(edges)
-        edges.append((at, next_vertex))
-        incident[at].append(index)
-        incident[next_vertex] = [index]
-        label_to_index[label] = index
-        next_vertex += 1
+        edges.append((at, index + 1))
 
-    tree = Graph(n, tuple((a, b) if a < b else (b, a) for a, b in edges))
-    _verify_reconstruction(tree, label_to_index, tbl, check_singletons=True)
+    tree = Graph(n, tuple(edges))
+    label_to_index = {label: i for i, label in enumerate(order)}
+    _check_realized(tree, label_to_index, tbl)
     return tree, label_to_index
 
 
-def _verify_reconstruction(tree: Graph, label_to_index: dict[str, int],
-                           tbl: ThetaTable, check_singletons: bool) -> None:
-    if check_singletons:
-        for label, img in tbl.singletons.items():
-            got = theta(tree, [label_to_index[label]])
-            if got != img:
-                raise InconsistentDataError(
-                    f"no tree realizes this data: edge {label} rebuilt with cut {got}, "
-                    f"table says {img}"
-                )
-    for (a, b), img in tbl.pairs.items():
-        got = theta(tree, [label_to_index[a], label_to_index[b]])
+def _check_realized(tree: Graph, label_to_index: dict[str, int], tbl: ThetaTable) -> None:
+    """InconsistentDataError naming the first table entry (singletons only if
+    the table has them) that differs from the rebuilt tree's cut image."""
+    labels = tbl.edge_labels
+    for at, got in _cut_images(tree, [label_to_index[lab] for lab in labels]):
+        names = tuple(labels[k] for k in at)
+        if len(names) == 1:
+            if not tbl.singletons:
+                continue
+            entry, img = f"edge {names[0]}", tbl.singletons[names[0]]
+        else:
+            entry, img = f"pair ({names[0]}, {names[1]})", tbl.pairs[names]
         if got != img:
             raise InconsistentDataError(
-                f"no tree realizes this data: pair ({a}, {b}) rebuilt with cut {got}, "
-                f"table says {img}"
+                f"no tree realizes this data: {entry} rebuilt with cut {got}, table says {img}"
             )
 
 
@@ -366,7 +346,8 @@ def reconstruct_from_pairs(tbl: ThetaTable) -> tuple[Graph, dict[str, int]]:
     For n <= 4 there is at most one single-centroid tree per order, so small
     instances are answered by lookup (n = 2 has none: both vertices of the
     one edge are centroids).  Larger instances recover the singleton images
-    first and then run the full reconstruction.
+    first and then run the full reconstruction.  Singleton images in ``tbl``
+    are ignored.
     """
     n = tbl.n
     if tbl.m != n - 1:
@@ -376,15 +357,9 @@ def reconstruct_from_pairs(tbl: ThetaTable) -> tuple[Graph, dict[str, int]]:
     if n <= 4:
         tree = Graph(n, _SMALL_SINGLE_CENTROID[n])
         label_to_index = {lab: i for i, lab in enumerate(tbl.edge_labels)}
-        _verify_reconstruction(tree, label_to_index, tbl, check_singletons=False)
+        _check_realized(tree, label_to_index, replace(tbl, singletons={}))
         return tree, label_to_index
-    full = ThetaTable(
-        n=n,
-        edge_labels=tbl.edge_labels,
-        singletons=singletons_from_pairs(tbl),
-        pairs=dict(tbl.pairs),
-    )
-    return reconstruct_from_theta(full)
+    return reconstruct_from_theta(replace(tbl, singletons=singletons_from_pairs(tbl)))
 
 
 # ---------------------------------------------------------------------------

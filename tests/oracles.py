@@ -11,6 +11,8 @@ enumerator can reach in test time.  The collision search is redone the
 earlier way: candidates deduplicated by canonical keys, then bucketed by the
 printed polynomial.  Triangle reduce is redone depth first, splitting every
 pending graph on its own and merging equal graphs only once triangle-free.
+Edge attraction is decided from its definition, by collecting the edges of
+every path from a centroid to an endpoint of either edge.
 """
 
 from __future__ import annotations
@@ -22,10 +24,11 @@ from csfkit import (
     GraphCombination,
     PowerSumPolynomial,
     canonical_tree_code,
+    centroid,
     chromatic_symmetric_function,
     triangle_split,
 )
-from csfkit.graph import _level_sequences, connected_components, cycle_vertices, tree_from_levels
+from csfkit.graph import _bfs, _level_sequences, connected_components, cycle_vertices, tree_from_levels
 
 
 # ---------------------------------------------------------------------------
@@ -366,3 +369,30 @@ def reduce_unmerged(g: Graph) -> GraphCombination:
     terms = [(c, h) for c, h in settled.values() if c]
     terms.sort(key=lambda item: (-item[1].edge_count, item[1].edges))
     return GraphCombination(tuple(terms))
+
+
+# ---------------------------------------------------------------------------
+# Edge attraction by its definition
+
+
+def _path_edges(t: Graph, start: int, goal: int) -> set[int]:
+    """Edge indices on the unique start-goal path."""
+    parent = [-1] * t.vertex_count
+    _bfs(t.adjacency, start, parent)
+    path = set()
+    while goal != start:
+        path.add(t.index_of(goal, parent[goal]))
+        goal = parent[goal]
+    return path
+
+
+def attracts_by_paths(t: Graph, ea: int, eb: int) -> bool:
+    """True if the path from some centroid to some endpoint of ea or eb
+    contains both edges."""
+    endpoints = set(t.edges[ea]) | set(t.edges[eb])
+    for c in centroid(t):
+        for tip in endpoints:
+            path = _path_edges(t, c, tip)
+            if ea in path and eb in path:
+                return True
+    return False

@@ -206,7 +206,7 @@ def test_decompose_bad_edge_index_is_a_data_error(tmp_path, capsys, rule, edges,
                                   "--out", str(tmp_path / "x")])
     assert code == 3
     assert out == ""
-    assert err == f"error: edge index {bad} out of range\n"
+    assert err == f"error: edge index {bad} out of range 0..2\n"
 
 
 def test_decompose_reduce_refuses_past_split_budget(tmp_path, capsys, monkeypatch):

@@ -20,6 +20,7 @@ from csfkit import (
     forest_type_counts,
     leaf_edges_from_pairs,
     partition_key,
+    path_split,
     pi_type,
     rearrange,
     reconstruct_from_pairs,
@@ -27,6 +28,8 @@ from csfkit import (
     singletons_from_pairs,
     theta,
     theta_tables,
+    triangle_split,
+    wedge_split,
 )
 from csfkit.errors import CsfkitError
 
@@ -46,7 +49,7 @@ from fixtures import (
     TWO_CENTROID_PAIR14_SPOTS,
     cut_table13,
 )
-from oracles import prufer_tree
+from oracles import attracts_by_paths, prufer_tree
 
 P3 = Graph(3, ((0, 1), (1, 2)))
 STAR4 = Graph(4, ((0, 1), (0, 2), (0, 3)))
@@ -107,6 +110,16 @@ def test_theta_rejects_non_tree():
     pytest.param(attracts, (-1, 0), -1, id="attracts-minus-1"),
     pytest.param(attracts, (99, 0), 99, id="attracts-99"),
     pytest.param(attracts, (0, 4), 4, id="attracts-m"),
+    pytest.param(pi_type, ([-1],), -1, id="pi_type-minus-1"),
+    pytest.param(pi_type, ([0, 4],), 4, id="pi_type-m"),
+    pytest.param(Graph.with_edges_removed, ([-1],), -1, id="with_edges_removed-minus-1"),
+    pytest.param(Graph.with_edges_removed, ([0, 4],), 4, id="with_edges_removed-m"),
+    pytest.param(triangle_split, (-1, 0, 1), -1, id="triangle_split-minus-1"),
+    pytest.param(triangle_split, (0, 1, 4), 4, id="triangle_split-m"),
+    pytest.param(wedge_split, (-1, 0, 1), -1, id="wedge_split-minus-1"),
+    pytest.param(wedge_split, (0, 1, 4), 4, id="wedge_split-m"),
+    pytest.param(path_split, (-1, 0), -1, id="path_split-minus-1"),
+    pytest.param(path_split, (0, 4), 4, id="path_split-m"),
 ])
 def test_bad_edge_indices_raise_value_error(func, args, index):
     with pytest.raises(ValueError, match=f"edge index {index} "):
@@ -157,6 +170,16 @@ def test_two_centroid_bridge_attracts_everything():
     for i in range(t.edge_count):
         if i != bridge:
             assert attracts(t, bridge, i)
+
+
+def test_attracts_equals_path_definition_up_to_10():
+    # every ordered pair of distinct edges, two-centroid trees included
+    for n in range(2, 11):
+        for t in enumerate_trees(n):
+            for i in range(t.edge_count):
+                for k in range(t.edge_count):
+                    if i != k:
+                        assert attracts(t, i, k) == attracts_by_paths(t, i, k), (t, i, k)
 
 
 def test_star_leaf_edges_repel():
@@ -289,14 +312,44 @@ def test_reconstruct_rejects_half_split_singleton():
 
 
 def test_reconstruct_rejects_tampered_tables():
-    tbl = theta_tables(Graph(6, ((0, 1), (0, 2), (0, 3), (3, 4), (3, 5))))
+    t = Graph(7, ((0, 1), (0, 2), (0, 3), (3, 4), (3, 5), (1, 6)))
+    assert centroid(t) == (0,)
+    tbl = theta_tables(t)
+    n = tbl.n
+    # edges 0 (cut 5|2) and 2 (cut 4|3) lie on different branches at the
+    # centroid, so they repel; give their pair the image of attracting edges
+    (_, k), (_, i) = tbl.singletons["0"], tbl.singletons["2"]
+    assert tbl.pairs[("0", "2")] == rearrange((n - i - k, i, k))
     pairs = dict(tbl.pairs)
-    # make two pair images contradict the path structure
-    pairs[("0", "1")], pairs[("0", "3")] = pairs[("0", "3")], pairs[("0", "1")]
-    bad = ThetaTable(n=tbl.n, edge_labels=tbl.edge_labels,
+    pairs[("0", "2")] = rearrange((n - i, i - k, k))
+    bad = ThetaTable(n=n, edge_labels=tbl.edge_labels,
                      singletons=dict(tbl.singletons), pairs=pairs)
-    with pytest.raises(InconsistentDataError):
+    with pytest.raises(InconsistentDataError) as raised:
         reconstruct_from_theta(bad)
+    assert not isinstance(raised.value, TwoCentroidError)
+
+
+def test_reconstruct_checks_every_pair_entry():
+    # edge 3 now claims to attract edges 0 and 2, which repel each other; the
+    # rebuilt tree is the original, right on every singleton, wrong on one pair
+    tbl = theta_tables(Graph(5, ((0, 1), (1, 2), (0, 3), (3, 4))))
+    pairs = dict(tbl.pairs)
+    pairs[("0", "3")] = (3, 1, 1)
+    bad = ThetaTable(n=5, edge_labels=tbl.edge_labels,
+                     singletons=dict(tbl.singletons), pairs=pairs)
+    with pytest.raises(InconsistentDataError,
+                       match=r"pair \(0, 3\) rebuilt with cut \(2, 2, 1\), table says \(3, 1, 1\)"):
+        reconstruct_from_theta(bad)
+
+
+def test_reconstruct_from_pairs_ignores_singletons():
+    for t in (STAR4, CUT_TABLE13_TREE):
+        tbl = theta_tables(t)
+        wrong = dict(tbl.singletons)
+        wrong["0"] = rearrange((t.vertex_count - 2, 2))
+        tree, _ = reconstruct_from_pairs(ThetaTable(n=tbl.n, edge_labels=tbl.edge_labels,
+                                                    singletons=wrong, pairs=dict(tbl.pairs)))
+        assert canonical_tree_code(tree) == canonical_tree_code(t)
 
 
 def test_roundtrip_all_single_centroid_trees_up_to_10():
