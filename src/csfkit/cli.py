@@ -86,7 +86,10 @@ def cmd_decompose(args) -> int:
     else:
         if args.edges is None:
             raise ValueError(f"--rule {args.rule} requires --edges")
-        indices = [int(tok) for tok in args.edges.split(",")]
+        try:
+            indices = [int(tok) for tok in args.edges.split(",")]
+        except ValueError:
+            raise ValueError(f"--edges takes comma-separated integers, got {args.edges!r}") from None
         want = 2 if args.rule == "path" else 3
         if len(indices) != want:
             raise ValueError(f"--rule {args.rule} takes {want} edge indices")

@@ -8,8 +8,9 @@ the pair images alone; the reconstruction algorithms here follow that
 constructive proof: order edges by how balanced their cut is, then grow the
 tree from the centroid, attaching each edge below the deepest already placed
 edge that attracts it.  ``theta_tables`` is the one routine that computes a
-tree's cut images; a reconstruction is accepted only if the images it
-computes for the rebuilt tree equal the input table, entry by entry.
+tree's cut images; it checks the tree once per table, not once per entry.  A
+reconstruction is accepted only if the images it computes for the rebuilt
+tree equal the input table, entry by entry.
 """
 
 from __future__ import annotations
@@ -51,8 +52,15 @@ class ThetaTable:
         for label, img in self.singletons.items():
             if len(img) != 2 or sum(img) != self.n:
                 raise ValueError(f"singleton image of {label} must have 2 parts summing to {self.n}")
-        expected = {(a, b) for a, b in combinations(labels, 2)}
-        if set(self.pairs) != expected:
+        # Dict keys are distinct, so the right count of keys that are each two
+        # known labels in label order covers every pair exactly once.
+        m = len(labels)
+        position = self._position
+        if len(self.pairs) != m * (m - 1) // 2 or not all(
+            isinstance(pair, tuple) and len(pair) == 2
+            and position.get(pair[0], m) < position.get(pair[1], -1)
+            for pair in self.pairs
+        ):
             raise ValueError("pair images must cover every unordered label pair exactly")
         for pair, img in self.pairs.items():
             if len(img) != 3 or sum(img) != self.n:
@@ -135,27 +143,41 @@ def theta(t: Graph, edge_indices) -> Partition:
     """Cut image of an edge set: type of the complement edge set."""
     require_tree(t, "theta")
     edge_indices = list(edge_indices)
-    _check_edge_indices(t, edge_indices)
-    removed: set[int] = set()
-    for i in edge_indices:
-        if i in removed:
-            raise ValueError(f"edge index {i} repeated")
-        removed.add(i)
+    _check_distinct_edges(t, edge_indices)
+    removed = set(edge_indices)
     return pi_type(t, [i for i in range(t.edge_count) if i not in removed])
+
+
+def _check_distinct_edges(t: Graph, edge_indices: list[int]) -> None:
+    """ValueError naming the first index out of range, else the first repeated one."""
+    _check_edge_indices(t, edge_indices)
+    seen: set[int] = set()
+    for i in edge_indices:
+        if i in seen:
+            raise ValueError(f"edge index {i} repeated")
+        seen.add(i)
 
 
 def _cut_images(t: Graph, edges):
     """Cut images of each listed edge, then of each pair of them, in list
-    order, as (positions in ``edges``, image)."""
+    order, as (positions in ``edges``, image).
+
+    The tree and the edge list are checked once, when iteration starts;
+    each image is then the type of the edges kept, as in ``theta``.
+    """
+    require_tree(t, "theta_tables")
+    edges = list(edges)
+    _check_distinct_edges(t, edges)
+    kept = list(range(t.edge_count))
     for k, i in enumerate(edges):
-        yield (k,), theta(t, [i])
+        yield (k,), pi_type(t, kept[:i] + kept[i + 1:])
     for (k, i), (l, j) in combinations(enumerate(edges), 2):
-        yield (k, l), theta(t, [i, j])
+        a, b = (i, j) if i < j else (j, i)
+        yield (k, l), pi_type(t, kept[:a] + kept[a + 1:b] + kept[b + 1:])
 
 
 def theta_tables(t: Graph) -> ThetaTable:
     """Full singleton and pair cut data, labelled by edge index."""
-    require_tree(t, "theta_tables")
     m = t.edge_count
     labels = tuple(str(i) for i in range(m))
     images = _cut_images(t, range(m))

@@ -12,7 +12,9 @@ earlier way: candidates deduplicated by canonical keys, then bucketed by the
 printed polynomial.  Triangle reduce is redone depth first, splitting every
 pending graph on its own and merging equal graphs only once triangle-free.
 Edge attraction is decided from its definition, by collecting the edges of
-every path from a centroid to an endpoint of either edge.
+every path from a centroid to an endpoint of either edge.  ``relabelled``
+gives a graph a seeded vertex permutation and edge order, so a fast path is
+also checked off the labelling its input was generated in.
 """
 
 from __future__ import annotations
@@ -33,6 +35,15 @@ from csfkit.graph import _bfs, _level_sequences, connected_components, cycle_ver
 
 # ---------------------------------------------------------------------------
 # Tree enumeration and isomorphism oracles
+
+
+def relabelled(rng, n: int, edges) -> Graph:
+    """Random vertex permutation and random edge order."""
+    perm = list(range(n))
+    rng.shuffle(perm)
+    out = [tuple(sorted((perm[u], perm[v]))) for u, v in edges]
+    rng.shuffle(out)
+    return Graph(n, tuple(out))
 
 
 def prufer_tree(n: int, seq: tuple[int, ...]) -> Graph:

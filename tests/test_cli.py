@@ -209,6 +209,15 @@ def test_decompose_bad_edge_index_is_a_data_error(tmp_path, capsys, rule, edges,
     assert err == f"error: edge index {bad} out of range 0..2\n"
 
 
+def test_decompose_non_integer_edges_is_a_data_error(tmp_path, capsys):
+    path = write_graph(tmp_path, "k3.graph", Graph(3, ((0, 1), (0, 2), (1, 2))))
+    code, out, err = run(capsys, ["decompose", path, "--rule", "path", "--edges", "0,x",
+                                  "--out", str(tmp_path / "x")])
+    assert code == 3
+    assert out == ""
+    assert err == "error: --edges takes comma-separated integers, got '0,x'\n"
+
+
 def test_decompose_reduce_refuses_past_split_budget(tmp_path, capsys, monkeypatch):
     monkeypatch.setattr(rewrite, "REDUCE_WORK_LIMIT", 100)
     path = write_graph(tmp_path, "k6.graph", Graph(6, tuple(combinations(range(6), 2))))
@@ -280,6 +289,14 @@ def test_theta_then_reconstruct_roundtrip(tmp_path, capsys):
     assert out2 == "CONSISTENT\n"
     rebuilt = parse_graph(out_path.read_text(encoding="ascii"))
     assert canonical_tree_code(rebuilt) == canonical_tree_code(star5)
+
+
+def test_theta_on_a_non_tree_is_a_data_error(tmp_path, capsys):
+    path = write_graph(tmp_path, "c4.graph", Graph(4, ((0, 1), (1, 2), (2, 3), (0, 3))))
+    code, out, err = run(capsys, ["theta", path])
+    assert code == 3
+    assert out == ""
+    assert err == "error: theta_tables requires a tree (connected and acyclic)\n"
 
 
 def test_reconstruct_worked_table_pairs_only(tmp_path, capsys):

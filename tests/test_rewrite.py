@@ -23,7 +23,7 @@ from fixtures import (
     TRIANGLE_DEMO_B,
     TRIANGLE_DEMO_B_INDICES,
 )
-from oracles import reduce_unmerged
+from oracles import reduce_unmerged, relabelled
 
 K3 = Graph(3, ((0, 1), (0, 2), (1, 2)))
 P3 = Graph(3, ((0, 1), (0, 2)))
@@ -293,15 +293,6 @@ SEVEN_VERTEX_CODES = (
 
 def decode(code: str) -> Graph:
     return Graph(7, tuple((int(code[k]), int(code[k + 1])) for k in range(0, len(code), 2)))
-
-
-def relabelled(rng, n: int, edges) -> Graph:
-    """Random vertex permutation and random edge order."""
-    perm = list(range(n))
-    rng.shuffle(perm)
-    out = [tuple(sorted((perm[u], perm[v]))) for u, v in edges]
-    rng.shuffle(out)
-    return Graph(n, tuple(out))
 
 
 def count_splits(monkeypatch) -> list:

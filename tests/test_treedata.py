@@ -1,4 +1,6 @@
 import random
+import tracemalloc
+from dataclasses import replace
 from itertools import combinations
 
 import pytest
@@ -31,6 +33,7 @@ from csfkit import (
     triangle_split,
     wedge_split,
 )
+from csfkit import treedata
 from csfkit.errors import CsfkitError
 
 from fixtures import (
@@ -49,7 +52,7 @@ from fixtures import (
     TWO_CENTROID_PAIR14_SPOTS,
     cut_table13,
 )
-from oracles import attracts_by_paths, prufer_tree
+from oracles import attracts_by_paths, prufer_tree, relabelled
 
 P3 = Graph(3, ((0, 1), (1, 2)))
 STAR4 = Graph(4, ((0, 1), (0, 2), (0, 3)))
@@ -133,6 +136,50 @@ def test_theta_tables_p3_and_star():
     tbl = theta_tables(STAR4)
     assert set(tbl.singletons.values()) == {(3, 1)}
     assert set(tbl.pairs.values()) == {(2, 1, 1)}
+
+
+def test_theta_tables_entries_equal_theta_up_to_9():
+    rng = random.Random(97)
+    for n in range(1, 10):
+        for t in enumerate_trees(n):
+            t = relabelled(rng, n, t.edges)
+            m = t.edge_count
+            tbl = theta_tables(t)
+            assert tbl.singletons == {str(i): theta(t, [i]) for i in range(m)}
+            assert tbl.pairs == {
+                (str(i), str(j)): theta(t, [i, j]) for i, j in combinations(range(m), 2)
+            }
+
+
+def test_cut_images_check_the_tree_once_per_table(monkeypatch):
+    calls = []
+    original = treedata.require_tree
+
+    def counting(g, what="operation"):
+        calls.append(what)
+        return original(g, what)
+
+    monkeypatch.setattr(treedata, "require_tree", counting)
+    tbl = theta_tables(CUT_TABLE13_TREE)
+    assert calls == ["theta_tables"]
+    pairs_only = replace(tbl, singletons={})
+    small = replace(theta_tables(STAR4), singletons={})
+    for rebuild, table in ((reconstruct_from_theta, tbl),
+                           (reconstruct_from_pairs, pairs_only),
+                           (reconstruct_from_pairs, small)):
+        calls.clear()
+        rebuild(table)
+        assert len(calls) == 1
+
+
+@pytest.mark.parametrize("g", [
+    pytest.param(Graph(4, ((0, 1), (1, 2), (2, 3), (0, 3))), id="cycle"),
+    pytest.param(Graph(5, ((0, 1), (1, 2), (3, 4))), id="forest"),
+    pytest.param(Graph(2, ()), id="edgeless"),
+])
+def test_theta_tables_rejects_non_trees(g):
+    with pytest.raises(NotATreeError, match="theta_tables requires a tree"):
+        theta_tables(g)
 
 
 def test_cut_table13_matches_its_tree():
@@ -554,6 +601,30 @@ def test_theta_table_validation():
         ThetaTable(n=3, edge_labels=("a", "b"), singletons={}, pairs={})
     with pytest.raises(ValueError):
         ThetaTable(n=4, edge_labels=("a", "b"), singletons={}, pairs={("a", "b"): (2, 1)})
+    img = (2, 1, 1)
+    for pairs in (
+        {("b", "a"): img, ("a", "c"): img, ("b", "c"): img},  # a key in reverse order
+        {("a", "b"): img, ("a", "c"): img, ("b", "x"): img},  # a key naming an unknown label
+        {("a", "b"): img, ("a", "c"): img, ("b", "b"): img},  # right count, (b, c) missing
+        {("a", "b"): img, ("a", "c"): img, "bc": img},  # a key that is not a pair
+    ):
+        with pytest.raises(ValueError, match="every unordered label pair"):
+            ThetaTable(n=4, edge_labels=("a", "b", "c"), singletons={}, pairs=pairs)
+
+
+def test_theta_table_validation_memory_stays_linear():
+    # the 301-vertex star: 300 leaf edges, 44,850 pair images
+    n = 301
+    labels = tuple(str(i) for i in range(n - 1))
+    singletons = dict.fromkeys(labels, (n - 1, 1))
+    pairs = dict.fromkeys(combinations(labels, 2), (n - 2, 1, 1))
+    tracemalloc.start()
+    try:
+        ThetaTable(n=n, edge_labels=labels, singletons=singletons, pairs=pairs)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert peak < 1 << 20
 
 
 # ---------------------------------------------------------------------------
