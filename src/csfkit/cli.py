@@ -17,7 +17,8 @@ import hashlib
 import os
 import sys
 
-from .csf import DEFAULT_MAX_EDGES, chromatic_symmetric_function, first_difference, specialize
+from .csf import (DEFAULT_MAX_EDGES, PowerSumPolynomial, chromatic_symmetric_function, csf_codes,
+                  csf_difference, csf_value)
 from .errors import CsfkitError, ResourceLimitError
 from .graph import Graph, parse_graph
 from .pairgen import RootedTree, glue_rooted_trees
@@ -29,6 +30,8 @@ from .treedata import ThetaTable, reconstruct_from_pairs, reconstruct_from_theta
 
 def _enumeration_cap(explicit: int | None = None) -> int:
     if explicit is not None:
+        if explicit < 0:
+            raise CsfkitError(f"--max-edges must be a nonnegative integer, got {explicit}")
         return explicit
     env = os.environ.get("CSFKIT_MAX_EDGES")
     if env and not env.strip().isdecimal():
@@ -51,20 +54,19 @@ def _write_text(path: str, text: str) -> None:
 
 
 def cmd_csf(args) -> int:
-    g = _load_graph(args.input)
-    x = chromatic_symmetric_function(g, max_edges=_enumeration_cap())
-    if args.chromatic is not None:
-        print(specialize(x, args.chromatic))
-    else:
-        print(x.to_text(), end="")
+    g, k = _load_graph(args.input), args.chromatic
+    if k is None:
+        print(chromatic_symmetric_function(g, max_edges=_enumeration_cap()).to_text(), end="")
+    elif k < 0:
+        raise ValueError("k must be nonnegative")
+    else:  # every p_s becomes k
+        print(csf_value(g, [k] * (g.vertex_count + 1), max_edges=_enumeration_cap()))
     return 0
 
 
 def cmd_equal(args) -> int:
-    cap = _enumeration_cap()
-    xa = chromatic_symmetric_function(_load_graph(args.file_a), max_edges=cap)
-    xb = chromatic_symmetric_function(_load_graph(args.file_b), max_edges=cap)
-    diff = first_difference(xa, xb)
+    diff = csf_difference(_load_graph(args.file_a), _load_graph(args.file_b),
+                          max_edges=_enumeration_cap())
     if diff is None:
         print("EQUAL")
         return 0
@@ -115,11 +117,11 @@ def cmd_make_pair(args) -> int:
     _write_text(path_h, h.to_text())
     _write_text(path_j, j.to_text())
     cap = _enumeration_cap()
-    xh = chromatic_symmetric_function(h, max_edges=cap)
-    xj = chromatic_symmetric_function(j, max_edges=cap)
-    if xh.degree != xj.degree or xh.terms != xj.terms:
+    codes = csf_codes(h, max_edges=cap)
+    if h.vertex_count != j.vertex_count or csf_codes(j, max_edges=cap) != codes:
         raise AssertionError("glued pair disagrees; this is a bug")
-    digest = hashlib.sha256(xh.to_text().encode("ascii")).hexdigest()
+    text = PowerSumPolynomial.from_codes(h.vertex_count, codes).to_text()
+    digest = hashlib.sha256(text.encode("ascii")).hexdigest()
     print(path_h)
     print(path_j)
     print(f"csf-sha256 {digest}")

@@ -7,8 +7,13 @@ count of connected spanning edge subsets of G[B] (Stanley 1995, Thm 2.6).
 Each component gets one exact kernel, picked by its cyclomatic number r: a
 rooted tree DP for r = 0, the same DP with one cycle edge dropped for r = 1,
 and a set-partition DP over vertex bitmasks for r >= 2.  No kernel visits
-edge subsets.  Size multisets are carried as integers with one base-(n+1)
-digit per part size, so merging two is an addition; coefficients are exact
+edge subsets.  Each kernel takes two tables indexed by part size: closing a
+component of size s adds pw[s] to the state's code and multiplies its
+coefficient by mult[s].  ``csf_codes`` passes one base-(n+1) digit per part
+size and all-one multipliers, so a code is a size multiset and merging two is
+an addition; ``csf_value`` passes zero codes and a table of weights, so each
+kernel keeps one state where ``csf_codes`` keeps one per size multiset and
+returns X_G with every p_s replaced by weights[s].  Coefficients are exact
 Python ints.  Oversized inputs are refused up front, by the edge cap
 (default 30) and then by the r >= 2 kernel's work limit.
 """
@@ -63,8 +68,14 @@ class PowerSumPolynomial:
                 terms[p] = coeff
         return cls(n, terms)
 
+    @classmethod
+    def from_codes(cls, n: int, codes: dict[int, int]) -> "PowerSumPolynomial":
+        """Decode a ``csf_codes`` map of an n-vertex graph."""
+        return cls(n, {_partition(code, n): coeff for code, coeff in codes.items()})
 
-def _sparse_terms(adj, root: int, tracked: int | None, pw: list[int]) -> dict[int, int]:
+
+def _sparse_terms(adj, root: int, tracked: int | None, pw: list[int],
+                  mult: list[int]) -> dict[int, int]:
     """Tree component (tracked None), or unicyclic with root-tracked on the cycle.
 
     A rooted DP over the tree left once the edge root-tracked is dropped.  A
@@ -72,7 +83,9 @@ def _sparse_terms(adj, root: int, tracked: int | None, pw: list[int]) -> dict[in
     -> signed subset count, where t is 0 when nothing is tracked, -1 while the
     tracked vertex shares the root's component, and the size of its component
     once that closed.  Taking the dropped edge fuses those two components and
-    flips the sign, which cancels every state with t == -1.
+    flips the sign, which cancels every state with t == -1.  Closing a
+    component of size s adds pw[s] to the code and multiplies by mult[s]; the
+    tracked vertex's component is weighed at the root, once its size is final.
     """
     order, parent = [root], {root: -1}
     for x in order:
@@ -86,24 +99,30 @@ def _sparse_terms(adj, root: int, tracked: int | None, pw: list[int]) -> dict[in
         for c in adj[v]:
             if parent.get(c) != v:
                 continue
-            child, merged = states.pop(c).items(), {}
+            merged: dict = {}
             get = merged.get
-            for (sv, tv, pv), av in mine.items():
-                for (sc, tc, pc), ac in child:
-                    w, p = av * ac, pv + pc
-                    # leaving the edge v-c out closes the child's component
-                    key = (sv, sc, p) if tc == -1 else (sv, tv or tc, p + pw[sc])
-                    merged[key] = get(key, 0) + w
+            for (sc, tc, pc), ac in states.pop(c).items():
+                # leaving the edge v-c out closes the child's component
+                if tc == -1:
+                    t_out, add, a_out = sc, 0, ac
+                else:
+                    t_out, add, a_out = tc, pw[sc], ac * mult[sc]
+                for (sv, tv, pv), av in mine.items():
+                    p = pv + pc
+                    key = (sv, tv or t_out, p + add)
+                    merged[key] = get(key, 0) + av * a_out
                     key = (sv + sc, tv or tc, p)
-                    merged[key] = get(key, 0) - w
+                    merged[key] = get(key, 0) - av * ac
             mine = merged
         states[v] = mine
     terms: dict[int, int] = {}
     for (sr, t, p), coeff in states[root].items():
         if t >= 0:
-            terms[p + pw[sr] + pw[t]] = terms.get(p + pw[sr] + pw[t], 0) + coeff
+            key = p + pw[sr] + pw[t]
+            terms[key] = terms.get(key, 0) + coeff * mult[sr] * mult[t]
         if t > 0:
-            terms[p + pw[sr + t]] = terms.get(p + pw[sr + t], 0) - coeff
+            key = p + pw[sr + t]
+            terms[key] = terms.get(key, 0) - coeff * mult[sr + t]
     return terms
 
 
@@ -120,13 +139,13 @@ def _connected_sets(nbr: list[int], low: int, within: int):
             ban |= bit
 
 
-def _vertex_dp_terms(comp: list[int], adj, pw: list[int]) -> dict[int, int]:
+def _vertex_dp_terms(comp: list[int], adj, pw: list[int], mult: list[int]) -> dict[int, int]:
     """Connected set-partition DP over bitmasks of one component's vertices.
 
     c({v}) = 1 and, for |B| >= 2, c(B) = -sum c(B') over proper B' < B with
     min(B) in B' and B - B' independent, since the signed count of all edge
     subsets of G[B] is [G[B] has no edge].  Then X = h(V) with
-    h(R) = sum over connected B containing min(R) of c(B) p_|B| h(R - B),
+    h(R) = sum over connected B containing min(R) of c(B) mult[|B|] p_|B| h(R - B),
     run forward with the remaining sets R grouped by their least vertex.
     """
     order = _bfs(adj, comp[0], [-1] * len(adj))  # breadth-first labels keep the reachable R few
@@ -138,21 +157,25 @@ def _vertex_dp_terms(comp: list[int], adj, pw: list[int]) -> dict[int, int]:
         c[low] = 1
         for b in sorted(_connected_sets(nbr, low, full & -low), key=int.bit_count)[1:]:
             # a leaf's one edge lies in every connected spanning subset
-            leaf = next((1 << j for j in range(i + 1, k)
-                         if b >> j & 1 and (nbr[j] & b).bit_count() == 1), 0)
-            if leaf:
-                c[b] = -c[b ^ leaf]
-                continue
-            total, stack = 0, [(0, b ^ low)]  # independent subsets of B - {min B}
-            while stack:
-                chosen, cand = stack.pop()
-                if cand:
-                    bit = cand & -cand
-                    stack.append((chosen, cand ^ bit))
-                    stack.append((chosen | bit, cand & ~bit & ~nbr[bit.bit_length() - 1]))
-                elif chosen:
-                    total += c.get(b ^ chosen, 0)
-            c[b] = -total
+            rest = b ^ low
+            while rest:
+                leaf = rest & -rest
+                if (nbr[leaf.bit_length() - 1] & b).bit_count() == 1:
+                    c[b] = -c[b ^ leaf]
+                    break
+                rest ^= leaf
+            else:
+                # independent subsets of B - {min B}, each grown by higher bits only
+                total, stack = 0, [(0, b ^ low)]
+                while stack:
+                    chosen, cand = stack.pop()
+                    if chosen:
+                        total += c.get(b ^ chosen, 0)
+                    while cand:
+                        bit = cand & -cand
+                        cand ^= bit
+                        stack.append((chosen | bit, cand & ~nbr[bit.bit_length() - 1]))
+                c[b] = -total
     pending: list = [{} for _ in range(k + 1)]  # index -1 is k: R empty
     pending[0][full] = {0: 1}
     for i in range(k):
@@ -160,20 +183,17 @@ def _vertex_dp_terms(comp: list[int], adj, pw: list[int]) -> dict[int, int]:
             for b in _connected_sets(nbr, 1 << i, r):
                 rest = r ^ b
                 target = pending[(rest & -rest).bit_length() - 1].setdefault(rest, {})
-                cb, add = c[b], pw[b.bit_count()]
+                size = b.bit_count()
+                cb, add = c[b] * mult[size], pw[size]
                 for code, a in poly.items():
                     target[code + add] = target.get(code + add, 0) + a * cb
         pending[i] = None
     return pending[k][0]
 
 
-def csf_codes(g: Graph, max_edges: int = DEFAULT_MAX_EDGES) -> dict[int, int]:
-    """Exact nonzero terms of X_G as {size code: coefficient}.
-
-    A code holds one base-(n+1) digit per part size, digit s - 1 counting the
-    parts of size s, so at a fixed vertex count two graphs have equal maps
-    exactly when their functions are equal.
-    """
+def _expansion(g: Graph, max_edges: int, pw: list[int], mult: list[int]) -> dict[int, int]:
+    """X_G as {code: coefficient}, each closed part of size s adding pw[s] to the
+    code and multiplying by mult[s] (mult[0] = 1), after the up-front limits."""
     n, m, adj = g.vertex_count, g.edge_count, g.adjacency
     if m > max_edges:
         raise ResourceLimitError(
@@ -185,41 +205,83 @@ def csf_codes(g: Graph, max_edges: int = DEFAULT_MAX_EDGES) -> dict[int, int]:
             raise ResourceLimitError(f"a component with {len(comp)} vertices and cyclomatic "
                                      f"number {r} needs 2^{len(comp)} vertex masks, above "
                                      f"the limit of {VERTEX_DP_WORK_LIMIT}")
-    pw = _part_codes(n)
     cyc = set(cycle_vertices(g)) if any(r == 1 for _, r in comps) else ()
     total = {0: 1}
     for comp, r in comps:
         if r == 0:
-            part = _sparse_terms(adj, comp[0], None, pw)
+            part = _sparse_terms(adj, comp[0], None, pw, mult)
         elif r == 1:  # drop the edge from a cycle vertex to a cycle neighbour
             root = next(v for v in comp if v in cyc)
-            part = _sparse_terms(adj, root, next(w for w in adj[root] if w in cyc), pw)
+            part = _sparse_terms(adj, root, next(w for w in adj[root] if w in cyc), pw, mult)
         else:
-            part = _vertex_dp_terms(comp, adj, pw)
+            part = _vertex_dp_terms(comp, adj, pw, mult)
         product: dict[int, int] = {}
         for ca, xa in total.items():
             for cb, xb in part.items():
                 product[ca + cb] = product.get(ca + cb, 0) + xa * xb
         total = product
+    return total
+
+
+def csf_codes(g: Graph, max_edges: int = DEFAULT_MAX_EDGES) -> dict[int, int]:
+    """Exact nonzero terms of X_G as {size code: coefficient}.
+
+    A code holds one base-(n+1) digit per part size, digit s - 1 counting the
+    parts of size s, so at a fixed vertex count two graphs have equal maps
+    exactly when their functions are equal, and codes order as their
+    partitions do, lexicographically.
+    """
+    n = g.vertex_count
+    total = _expansion(g, max_edges, [0] + [(n + 1) ** i for i in range(n)], [1] * (n + 1))
     return {code: coeff for code, coeff in total.items() if coeff}
 
 
-def _part_codes(n: int) -> list[int]:
-    """pw[s] is the code of one part of size s (pw[0] = 0)."""
-    return [0] + [(n + 1) ** i for i in range(n)]
+def csf_value(g: Graph, weights: list[int], max_edges: int = DEFAULT_MAX_EDGES) -> int:
+    """X_G with each p_s replaced by weights[s] (s = 1..n), exactly.
+
+    The kernels run with every part code zero, so each keeps one state where
+    ``csf_codes`` keeps one per size multiset.  Equal functions give equal
+    values at every point; ``weights = [k] * (n + 1)`` gives the chromatic
+    polynomial at k.
+    """
+    n = g.vertex_count
+    if len(weights) <= n:
+        raise ValueError(f"need weights for part sizes 1..{n}, got {len(weights)} entries")
+    return _expansion(g, max_edges, [0] * (n + 1), [1, *weights[1:n + 1]]).get(0, 0)
+
+
+def _partition(code: int, n: int) -> Partition:
+    """The partition whose base-(n+1) size code is ``code``."""
+    parts, size = [], 1
+    while code:
+        code, count = divmod(code, n + 1)
+        parts += [size] * count
+        size += 1
+    parts.reverse()
+    # tuple() of a list, not of a generator: a generator's tuple is allocated
+    # at a guessed length and then resized, which grew resident memory over
+    # repeated calls
+    return tuple(parts)
 
 
 def chromatic_symmetric_function(g: Graph, max_edges: int = DEFAULT_MAX_EDGES) -> PowerSumPolynomial:
     """Exact power-sum expansion of X_G, one structured kernel per component."""
-    n, base = g.vertex_count, g.vertex_count + 1
-    pw = _part_codes(n)
-    # tuple() of a list, not of a generator: a generator's tuple is allocated
-    # at a guessed length and then resized, which grew resident memory over
-    # repeated calls
-    return PowerSumPolynomial(n, {
-        tuple([s for s in range(n, 0, -1) for _ in range(code // pw[s] % base)]): coeff
-        for code, coeff in csf_codes(g, max_edges).items()
-    })
+    return PowerSumPolynomial.from_codes(g.vertex_count, csf_codes(g, max_edges))
+
+
+def csf_difference(g: Graph, h: Graph, max_edges: int = DEFAULT_MAX_EDGES):
+    """``first_difference`` of X_g and X_h, decoding only the partition it names."""
+    a, b = csf_codes(g, max_edges), csf_codes(h, max_edges)
+    n = g.vertex_count
+    if n != h.vertex_count:
+        return first_difference(PowerSumPolynomial.from_codes(n, a),
+                                PowerSumPolynomial.from_codes(h.vertex_count, b))
+    # codes order as their partitions do, so the largest differing code is the first
+    differ = [code for code in a.keys() | b.keys() if a.get(code, 0) != b.get(code, 0)]
+    if not differ:
+        return None
+    code = max(differ)
+    return _partition(code, n), a.get(code, 0), b.get(code, 0)
 
 
 def specialize(x: PowerSumPolynomial, k: int) -> int:

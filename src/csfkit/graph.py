@@ -491,11 +491,13 @@ def enumerate_unicyclic(n: int) -> Iterator[Graph]:
     on n vertices, generated directly (no isomorphism test or deduplication).
 
     A class is a cycle C_p (3 <= p <= n) with a rooted tree at each cycle
-    vertex, read as the sequence of those trees around the cycle.  Every such
-    sequence is visited and kept only if none of its p rotations and p
-    reflections is lexicographically smaller, trees ranked by order and then
-    by their place in the Beyer-Hedetniemi scan.  Cycle vertex i is the root
-    of the i-th tree, whose vertices are numbered consecutively.
+    vertex, read as the sequence of those trees around the cycle, trees ranked
+    by order and then by their place in the Beyer-Hedetniemi scan.  Each
+    sequence whose first tree has the smallest order is visited and kept only
+    if none of its p rotations and p reflections is lexicographically smaller
+    (one that starts with a larger tree always has a smaller rotation).  Cycle
+    vertex i is the root of the i-th tree, whose vertices are numbered
+    consecutively.
     """
     if n < 1:
         raise ValueError("n must be at least 1")
@@ -508,6 +510,8 @@ def enumerate_unicyclic(n: int) -> Iterator[Graph]:
     for p in range(3, n + 1):
         for cuts in combinations(range(1, n), p - 1):
             orders = [b - a for a, b in zip((0,) + cuts, cuts + (n,))]
+            if orders[0] > min(orders):  # a least sequence starts with a smallest tree
+                continue
             for seq in product(*(ranks[order] for order in orders)):
                 if not _least_turn(seq):
                     continue

@@ -3,14 +3,18 @@ graphs whose chromatic symmetric functions are equal.
 
 Trees come from the Wright-Richmond-Odlyzko-McKay generator and connected
 unicyclic graphs from cycles with rooted trees attached; both produce each
-class exactly once, so nothing is deduplicated.  A graph's fingerprint is its
-exact map from part-size codes to coefficients (``csf_codes``): at a fixed
-order equal maps mean equal functions.  Graphs are bucketed by the hash of
-that map, keeping only the printed line, and every bucket with two or more
-members is split again by the exact maps, so groups never rest on a hash;
-holding every map instead would take about 28 KB per tree at n = 15.  The
-number of candidates the generator would visit is computed first, and a
-search above SEARCH_WORK_LIMIT is refused before any graph is built.
+class exactly once, so nothing is deduplicated.  Each graph is bucketed by
+the hash of X_G at one fixed point (``csf_value``, every p_s replaced by a
+fixed odd 61-bit weight), keeping only its printed line; equal functions give
+equal values, so no group is split across buckets.  Every bucket with two or
+more members is split again by the exact maps from part-size codes to
+coefficients (``csf_codes``), which at a fixed order are equal exactly when
+the functions are, so groups never rest on a value or a hash.  A value costs
+one kernel state per component size where a map costs one per size multiset,
+and a map is only built for graphs that share a bucket.  Groups are listed by
+their first member, in enumeration order.  The number of candidates the
+generator would visit is computed first, and a search above
+SEARCH_WORK_LIMIT is refused before any graph is built.
 """
 
 from __future__ import annotations
@@ -18,12 +22,12 @@ from __future__ import annotations
 import time
 from dataclasses import dataclass
 
-from .csf import csf_codes
+from .csf import csf_codes, csf_value
 from .errors import ResourceLimitError
 from .graph import Graph, enumerate_trees, enumerate_unicyclic
 
-# tree n = 18 (123,867 trees) and unicyclic n = 13 (95,190 sequences) run;
-# tree n = 19 and unicyclic n = 14 are refused
+# tree n = 18 (123,867 trees) and unicyclic n = 14 (129,147 sequences) run;
+# tree n = 19 and unicyclic n = 15 (371,802 sequences) are refused
 SEARCH_WORK_LIMIT = 1 << 18
 
 
@@ -37,12 +41,15 @@ class CollisionReport:
 
 
 def _cycle_sequences(r: list[int], n: int) -> int:
-    """Sequences of p >= 3 rooted trees whose orders sum to n."""
-    ways, total = [1] + [0] * n, 0  # ways[m]: sequences of p trees of total order m
-    for p in range(1, n + 1):
-        ways = [sum(ways[m - s] * r[s] for s in range(1, m + 1)) for m in range(n + 1)]
-        if p >= 3:
-            total += ways[n]
+    """Sequences of p >= 3 rooted trees whose orders sum to n, no tree smaller
+    than the first."""
+    total = 0
+    for a in range(1, n + 1):
+        ways = [1] + [0] * n  # ways[m]: sequences of trees of order >= a, total order m
+        for m in range(1, n - a + 1):
+            ways[m] = sum(r[s] * ways[m - s] for s in range(a, m + 1))
+        rest = n - a  # two or more trees follow the first
+        total += r[a] * (ways[rest] - (rest == 0) - (r[rest] if rest >= a else 0))
     return total
 
 
@@ -80,6 +87,11 @@ def _line_graph(line: str) -> Graph:
     return Graph(int(order), tuple(tuple(map(int, pair.split("-"))) for pair in pairs))
 
 
+def _point(n: int) -> list[int]:
+    """Fixed odd 61-bit weights for part sizes 0..n (Fibonacci hashing of s)."""
+    return [(0x9E3779B97F4A7C15 * (s + 1)) % (1 << 61) | 1 for s in range(n + 1)]
+
+
 def _fingerprint(g: Graph, max_edges: int) -> frozenset:
     return frozenset(csf_codes(g, max_edges).items())
 
@@ -101,20 +113,22 @@ def run_search(n: int, graph_class: str, max_edges: int) -> CollisionReport:
             f"above the limit of {SEARCH_WORK_LIMIT}"
         )
     graphs = enumerate_trees(n) if graph_class == "tree" else enumerate_unicyclic(n)
-    buckets: dict[int, list[str]] = {}
-    for g in graphs:
-        buckets.setdefault(hash(_fingerprint(g, max_edges)), []).append(_graph_line(g))
+    point, count = _point(n), 0
+    buckets: dict[int, list[tuple[int, str]]] = {}
+    for count, g in enumerate(graphs, start=1):
+        buckets.setdefault(hash(csf_value(g, point, max_edges)), []).append((count, _graph_line(g)))
     groups = []
-    for lines in buckets.values():
-        if len(lines) >= 2:
-            exact: dict[frozenset, list[str]] = {}
-            for line in lines:
-                exact.setdefault(_fingerprint(_line_graph(line), max_edges), []).append(line)
-            groups += [tuple(members) for members in exact.values() if len(members) >= 2]
+    for members in buckets.values():
+        if len(members) >= 2:
+            exact: dict[frozenset, list[tuple[int, str]]] = {}
+            for member in members:
+                exact.setdefault(_fingerprint(_line_graph(member[1]), max_edges), []).append(member)
+            groups += [group for group in exact.values() if len(group) >= 2]
+    groups.sort()  # by first member, in enumeration order
     return CollisionReport(
         n=n,
         graph_class=graph_class,
-        graph_count=sum(len(lines) for lines in buckets.values()),
-        groups=tuple(groups),
+        graph_count=count,
+        groups=tuple(tuple(line for _, line in group) for group in groups),
         elapsed_seconds=time.monotonic() - start,
     )

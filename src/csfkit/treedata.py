@@ -80,9 +80,9 @@ class ThetaTable:
     def _position(self) -> dict[str, int]:
         return {lab: i for i, lab in enumerate(self.edge_labels)}
 
-    def to_text(self, include_singletons: bool = True) -> str:
+    def to_text(self) -> str:
         lines = [f"theta n={self.n} m={self.m}"]
-        if include_singletons and self.singletons:
+        if self.singletons:
             for label in self.edge_labels:
                 lines.append(f"{label} {partition_key(self.singletons[label])}")
         for a, b in combinations(self.edge_labels, 2):

@@ -1,5 +1,6 @@
 import argparse
 import os
+import random
 import subprocess
 import sys
 import time
@@ -13,9 +14,12 @@ from csfkit import (
     ThetaTable,
     canonical_tree_code,
     chromatic_symmetric_function,
+    count_proper_colorings,
     csf_equal,
     enumerate_unicyclic,
+    first_difference,
     parse_graph,
+    partition_key,
     theta,
 )
 import csfkit
@@ -58,6 +62,29 @@ def test_csf_chromatic_value(tmp_path, capsys):
     code, out, _ = run(capsys, ["csf", path, "--chromatic", "3"])
     assert code == 0
     assert out == "192\n"
+
+
+@pytest.mark.parametrize("g", [
+    Graph(0, ()), Graph(1, ()), Graph(3, ((0, 1), (0, 2), (1, 2))), COLLISION_LEFT6,
+    Graph(7, ((0, 1), (0, 2), (1, 2), (2, 3), (4, 5))),  # disconnected, isolated vertex
+    Graph(6, tuple(combinations(range(5), 2))),  # K5 plus an isolated vertex
+], ids=["empty", "K1", "K3", "unicyclic6", "mixed7", "K5+K1"])
+def test_csf_chromatic_equals_brute_force_colorings(tmp_path, capsys, g):
+    path = write_graph(tmp_path, "g.graph", g)
+    for k in range(5):
+        code, out, _ = run(capsys, ["csf", path, "--chromatic", str(k)])
+        assert (code, out) == (0, f"{count_proper_colorings(g, k)}\n")
+
+
+def test_csf_chromatic_errors(tmp_path, capsys, monkeypatch):
+    path = write_graph(tmp_path, "c6.graph", COLLISION_LEFT6)
+    code, out, err = run(capsys, ["csf", path, "--chromatic", "-1"])
+    assert (code, out) == (3, "")
+    assert "nonnegative" in err
+    monkeypatch.setenv("CSFKIT_MAX_EDGES", "3")
+    code, out, err = run(capsys, ["csf", path, "--chromatic", "3"])
+    assert (code, out) == (4, "")
+    assert "cap" in err
 
 
 def test_csf_poly_k2(tmp_path, capsys):
@@ -140,6 +167,28 @@ def test_equal_near_miss_reports_first_difference(tmp_path, capsys):
     code, out, _ = run(capsys, ["equal", a, b])
     assert code == 1
     assert out == "DIFFER at 8,5,1,1: -9 vs -8\n"
+
+
+def test_equal_across_orders_names_the_first_partition(tmp_path, capsys):
+    a = write_graph(tmp_path, "k1.graph", Graph(1, ()))
+    b = write_graph(tmp_path, "p2.graph", Graph(2, ((0, 1),)))
+    code, out, _ = run(capsys, ["equal", a, b])
+    assert (code, out) == (1, "DIFFER at 2: 0 vs -1\n")
+
+
+def test_equal_reports_the_first_differing_partition_of_random_pairs(tmp_path, capsys):
+    rng = random.Random(29)
+    for _ in range(30):
+        n = rng.randint(3, 7)
+        pairs = list(combinations(range(n), 2))
+        ga, gb = (Graph(n, tuple(sorted(rng.sample(pairs, rng.randint(0, len(pairs))))))
+                  for _ in range(2))
+        xa, xb = chromatic_symmetric_function(ga), chromatic_symmetric_function(gb)
+        diff = first_difference(xa, xb)
+        want = "EQUAL\n" if diff is None else f"DIFFER at {partition_key(diff[0])}: {diff[1]} vs {diff[2]}\n"
+        code, out, _ = run(capsys, ["equal", write_graph(tmp_path, "a.graph", ga),
+                                    write_graph(tmp_path, "b.graph", gb)])
+        assert (code, out) == (0 if diff is None else 1, want)
 
 
 # ---------------------------------------------------------------------------
@@ -354,6 +403,12 @@ def test_reconstruct_full_table_requires_singletons(tmp_path, capsys):
 
 # ---------------------------------------------------------------------------
 # search
+
+
+def test_search_negative_max_edges_is_a_data_error(capsys):
+    code, out, err = run(capsys, ["search", "--class", "tree", "--n", "3", "--max-edges", "-1"])
+    assert (code, out) == (3, "")
+    assert "--max-edges" in err and "-1" in err
 
 
 def test_search_trees_small(capsys):

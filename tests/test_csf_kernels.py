@@ -2,13 +2,16 @@
 
 ``chromatic_symmetric_function`` picks a tree, unicyclic or vertex-bitmask
 kernel per component and multiplies the results; ``oracles.subset_csf`` is the
-definition, one signed term per edge subset.  They must agree exactly.
+definition, one signed term per edge subset.  They must agree exactly, and
+``csf_value`` (the same kernels with every part code zero) must equal the
+definition's terms summed at seeded weights.
 """
 
 import random
 import time
 import tracemalloc
 from itertools import combinations
+from math import prod
 
 import pytest
 
@@ -20,13 +23,21 @@ from csfkit import (
     enumerate_trees,
     specialize,
 )
+from csfkit.csf import csf_value
 from csfkit.graph import connected_components
 
 from oracles import subset_csf, unicyclic_canonical_key
 
 
 def assert_kernels_match(g: Graph) -> None:
-    assert chromatic_symmetric_function(g).terms == subset_csf(g).terms, g
+    want = subset_csf(g).terms
+    assert chromatic_symmetric_function(g).terms == want, g
+    rng = random.Random(repr(g))
+    n = g.vertex_count
+    for weights in ([rng.randint(-3, 3) for _ in range(n + 1)],  # zero and negatives too
+                    [rng.randrange(-1 << 61, 1 << 61) for _ in range(n + 1)]):
+        value = sum(c * prod(weights[s] for s in p) for p, c in want.items())
+        assert csf_value(g, weights) == value, (g, weights)
 
 
 def test_every_labelled_graph_up_to_5_vertices():
@@ -126,3 +137,14 @@ def test_dense_component_refused_before_any_work():
         tracemalloc.stop()
     assert time.perf_counter() - start < 1.0
     assert peak < 1_000_000
+
+
+def test_value_refuses_short_weights_and_keeps_the_limits():
+    with pytest.raises(ValueError, match="weights"):
+        csf_value(Graph(3, ((0, 1),)), [1, 1, 1])
+    assert csf_value(Graph(0, ()), [5]) == 1
+    with pytest.raises(ResourceLimitError, match="cap"):
+        csf_value(Graph(3, ((0, 1), (1, 2))), [1] * 4, max_edges=1)
+    k24 = Graph(24, tuple(combinations(range(24), 2)))
+    with pytest.raises(ResourceLimitError, match="2\\^24"):
+        csf_value(k24, [1] * 25, max_edges=1000)

@@ -4,6 +4,8 @@
 (cycles with rooted trees attached) must each produce every class exactly once;
 ``run_search`` must group graphs exactly as the earlier route did: deduplicated
 candidates, bucketed by the printed polynomial (``oracles.text_fingerprint_groups``).
+Its buckets (X_G at a fixed point) only narrow the search; groups rest on the
+exact maps, whatever the point.
 """
 
 import pytest
@@ -63,6 +65,22 @@ def test_groups_do_not_rest_on_the_hash(monkeypatch):
     assert run_search(9, "tree", 30).groups == ()
 
 
+def test_groups_do_not_depend_on_the_point(monkeypatch):
+    expected = {(n, "unicyclic"): run_search(n, "unicyclic", 30).groups for n in (6, 8, 10)}
+    expected[9, "tree"] = ()
+    # p_s -> 1 is the chromatic polynomial at 1, zero for every graph with an edge
+    monkeypatch.setattr(search, "_point", lambda n: [1] * (n + 1))
+    for (n, graph_class), groups in expected.items():
+        graphs = enumerate_trees(n) if graph_class == "tree" else enumerate_unicyclic(n)
+        assert {search.csf_value(g, [1] * (n + 1)) for g in graphs} == {0}
+        assert run_search(n, graph_class, 30).groups == groups
+
+
+@pytest.mark.parametrize("n, count", [(6, 1), (8, 2), (10, 6), (12, 15)])
+def test_unicyclic_collision_group_counts(n, count):
+    assert len(run_search(n, "unicyclic", 30).groups) == count
+
+
 @pytest.mark.parametrize("n, count", [(13, 1301), (14, 3159)])
 def test_no_tree_collisions_at_13_and_14(n, count):
     report = run_search(n, "tree", 30)
@@ -82,9 +100,9 @@ def test_search_work_counts_the_candidates_visited(monkeypatch):
         assert search_work(n, "unicyclic") == len(visited)
 
 
-def test_work_limit_admits_tree_18_and_unicyclic_13_only():
+def test_work_limit_admits_tree_18_and_unicyclic_14_only():
     assert search_work(18, "tree") == 123867 <= SEARCH_WORK_LIMIT < search_work(19, "tree")
-    assert search_work(13, "unicyclic") <= SEARCH_WORK_LIMIT < search_work(14, "unicyclic")
-    for graph_class, n in (("tree", 19), ("unicyclic", 14), ("tree", 10**9)):
+    assert search_work(14, "unicyclic") == 129147 <= SEARCH_WORK_LIMIT < search_work(15, "unicyclic")
+    for graph_class, n in (("tree", 19), ("unicyclic", 15), ("tree", 10**9)):
         with pytest.raises(ResourceLimitError, match="limit"):
             run_search(n, graph_class, 10**9)

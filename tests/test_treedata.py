@@ -582,7 +582,7 @@ def test_theta_table_text_roundtrip():
     tbl = theta_tables(CUT_TABLE13_TREE)
     parsed = ThetaTable.from_text(tbl.to_text())
     assert parsed == tbl
-    pairs_only = ThetaTable.from_text(tbl.to_text(include_singletons=False))
+    pairs_only = ThetaTable.from_text(replace(tbl, singletons={}).to_text())
     assert pairs_only.singletons == {}
     assert pairs_only.pairs == tbl.pairs
 
@@ -677,7 +677,7 @@ def test_corrupted_tables_fail_typed_or_rebuild_a_realizing_tree():
             t = prufer_tree(n, tuple(rng.randrange(n) for _ in range(n - 2)))
             tables = theta_tables(t)
             routes = ((tables.to_text(), reconstruct_from_theta),
-                      (tables.to_text(include_singletons=False), reconstruct_from_pairs))
+                      (replace(tables, singletons={}).to_text(), reconstruct_from_pairs))
             for text, rebuild in routes:
                 for _ in range(15):
                     try:
