@@ -112,14 +112,14 @@ def cmd_make_pair(args) -> int:
     t1 = RootedTree(_load_graph(args.tree1), args.root1)
     t2 = RootedTree(_load_graph(args.tree2), args.root2)
     h, j = glue_rooted_trees(t1, t2)
-    path_h = f"{args.out}_h.graph"
-    path_j = f"{args.out}_j.graph"
-    _write_text(path_h, h.to_text())
-    _write_text(path_j, j.to_text())
     cap = _enumeration_cap()
     codes = csf_codes(h, max_edges=cap)
     if h.vertex_count != j.vertex_count or csf_codes(j, max_edges=cap) != codes:
         raise AssertionError("glued pair disagrees; this is a bug")
+    path_h = f"{args.out}_h.graph"
+    path_j = f"{args.out}_j.graph"
+    _write_text(path_h, h.to_text())
+    _write_text(path_j, j.to_text())
     text = PowerSumPolynomial.from_codes(h.vertex_count, codes).to_text()
     digest = hashlib.sha256(text.encode("ascii")).hexdigest()
     print(path_h)

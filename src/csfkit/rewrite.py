@@ -91,60 +91,59 @@ def wedge_split(g: Graph, e1: int, e2: int, e3: int) -> GraphCombination:
     ))
 
 
-def _first_triangle(g: Graph) -> tuple[int, int, int] | None:
-    """Lowest edge pair e1 < e2 sharing a vertex whose closing edge e3 is
-    present, as (e1, e2, e3).  A triangle's lowest edge comes first, so e1 is
-    the first edge whose ends have a common neighbour, and e2 the lowest of
-    the other edges of its triangles."""
+def _triangle_table(g: Graph) -> list[tuple[int, list[list[int]]]]:
+    """Each edge e1 of g that is the lowest edge of a triangle, in order, with
+    the other two edges [e2, e3], e1 < e2 < e3, of those triangles, sorted.
+    In a subgraph of g, the first kept pair at the first kept e1 having one
+    is the lowest pair e1 < e2 sharing a vertex whose closing edge e3 is kept."""
     at: list[dict[int, int]] = [{} for _ in range(g.vertex_count)]
     for i, (u, v) in enumerate(g.edges):
         at[u][v] = at[v][u] = i
-    for e1, (u, v) in enumerate(g.edges):
-        common = at[u].keys() & at[v].keys()
-        if common:
-            return (e1, *min(sorted((at[u][w], at[v][w])) for w in common))
-    return None
+    table = [(e1, sorted(sorted((at[u][w], at[v][w])) for w in at[u].keys() & at[v].keys()
+                         if e1 < min(at[u][w], at[v][w])))
+             for e1, (u, v) in enumerate(g.edges)]
+    return [row for row in table if row[1]]
 
 
 def reduce_triangle_free(g: Graph) -> GraphCombination:
-    """Erase triangles with ``triangle_split`` until none remain.
+    """Erase triangles by the rule of ``triangle_split`` until none remain.
 
-    Each split replaces a graph by graphs with strictly fewer edges, so the
-    pending graphs are worked through one edge count at a time, from g's
-    down to 0: a level has received all its contributions before any of its
-    graphs is split, and equal graphs are merged there first (those whose
-    coefficients cancel are dropped).  Every pending graph is g less some
-    edges, survivors in g's order, so the bitmask of g's edge indices it keeps
-    names it.  The result is triangle-free but not necessarily a forest
-    combination.  The number of splits is not known in advance, so the
-    budget is a running count: the split after the first REDUCE_WORK_LIMIT
-    raises ResourceLimitError.
+    Every pending graph is g less some edges, survivors in g's order, so the
+    bitmask of g's edge indices it keeps names it.  Its split takes the first
+    triangle (e1, e2, e3) of ``_triangle_table(g)`` with all bits set and
+    clears e1, e2, or both.  Masks are worked through one edge count at a
+    time, from g's down to 0: a level has received all its contributions
+    before any of its masks is split, and equal masks are merged there first.
+    A Graph is built only for each triangle-free term returned.  The number
+    of splits is not known in advance, so the budget is a running count: the
+    split after the first REDUCE_WORK_LIMIT raises ResourceLimitError.
     """
-    bit = {e: 1 << i for i, e in enumerate(g.edges)}
+    table = [(1 << e1, [(1 << e2, 1 << e2 | 1 << e3) for e2, e3 in pairs])
+             for e1, pairs in _triangle_table(g)]
     levels: list[dict[int, int]] = [{} for _ in range(g.edge_count + 1)]
     levels[-1][(1 << g.edge_count) - 1] = 1
-    terms: list[tuple[int, Graph]] = []
+    free: list[tuple[int, int]] = []
     splits = 0
     for level in reversed(levels):
         for mask, coeff in level.items():
             if not coeff:
                 continue
-            # bin(mask) read from its low bit selects the kept edges.
-            h = Graph(g.vertex_count, tuple(compress(g.edges, map("1".__eq__, bin(mask)[:1:-1]))))
-            tri = _first_triangle(h)
-            if tri is None:
-                terms.append((coeff, h))
+            split = next(((b1, b2) for b1, pairs in table if mask & b1
+                          for b2, both in pairs if mask & both == both), None)
+            if split is None:
+                free.append((coeff, mask))
                 continue
             splits += 1
             if splits > REDUCE_WORK_LIMIT:
                 raise ResourceLimitError(f"triangle reduce needs more than {REDUCE_WORK_LIMIT} splits")
-            kept = set(h.edges)
-            for sub_coeff, sub in triangle_split(h, *tri).terms:
-                # The rule only deletes edges, so clear the bits of those it dropped.
-                sub_mask = mask - sum(bit[e] for e in kept.difference(sub.edges))
-                below = levels[sub.edge_count]
-                below[sub_mask] = below.get(sub_mask, 0) + coeff * sub_coeff
+            b1, b2 = split
+            for sub_mask, sub_coeff in ((mask ^ b1, coeff), (mask ^ b2, coeff), (mask ^ b1 ^ b2, -coeff)):
+                below = levels[sub_mask.bit_count()]
+                below[sub_mask] = below.get(sub_mask, 0) + sub_coeff
         level.clear()
+    # bin(mask) read from its low bit selects the kept edges.
+    terms = [(coeff, Graph(g.vertex_count, tuple(compress(g.edges, map("1".__eq__, bin(mask)[:1:-1])))))
+             for coeff, mask in free]
     terms.sort(key=lambda item: (-item[1].edge_count, item[1].edges))
     return GraphCombination(tuple(terms))
 

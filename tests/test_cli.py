@@ -321,6 +321,18 @@ def test_make_pair_identical_inputs_still_equal(tmp_path, capsys):
     assert code == 0
 
 
+def test_make_pair_refused_writes_no_files(tmp_path, capsys, monkeypatch):
+    monkeypatch.delenv("CSFKIT_MAX_EDGES", raising=False)
+    # Two 8-vertex paths glued at an end make 32 edges, past the 30-edge cap.
+    p8 = write_graph(tmp_path, "p8.graph", Graph(8, tuple((i, i + 1) for i in range(7))))
+    prefix = str(tmp_path / "big")
+    code, out, err = run(capsys, ["make-pair", p8, "0", p8, "0", "--out", prefix])
+    assert (code, out) == (4, "")
+    assert err == "error: graph has 32 edges, above the enumeration cap of 30\n"
+    assert not os.path.exists(f"{prefix}_h.graph")
+    assert not os.path.exists(f"{prefix}_j.graph")
+
+
 # ---------------------------------------------------------------------------
 # theta / reconstruct
 

@@ -1,3 +1,4 @@
+import math
 import random
 from itertools import combinations
 
@@ -23,7 +24,7 @@ from fixtures import (
     TRIANGLE_DEMO_B,
     TRIANGLE_DEMO_B_INDICES,
 )
-from oracles import reduce_unmerged, relabelled
+from oracles import first_triangle_by_pairs, reduce_unmerged, relabelled
 
 K3 = Graph(3, ((0, 1), (0, 2), (1, 2)))
 P3 = Graph(3, ((0, 1), (0, 2)))
@@ -251,22 +252,19 @@ def test_zero_coefficients_dropped():
 
 def test_reduce_split_budget_is_exact(monkeypatch):
     k5 = Graph(5, tuple(combinations(range(5), 2)))
-    splits = []
-
-    def counting_split(g, *edges):
-        splits.append(edges)
-        return triangle_split(g, *edges)
-
-    monkeypatch.setattr(rewrite, "triangle_split", counting_split)
     full = rewrite.reduce_triangle_free(k5)
-    needed = len(splits)
-    assert needed > 1
-    monkeypatch.setattr(rewrite, "REDUCE_WORK_LIMIT", needed)
-    assert rewrite.reduce_triangle_free(k5) == full
-    monkeypatch.setattr(rewrite, "REDUCE_WORK_LIMIT", needed - 1)
-    with pytest.raises(ResourceLimitError, match=f"more than {needed - 1} splits"):
-        rewrite.reduce_triangle_free(k5)
+    assert reduce_within(monkeypatch, k5, 41) == full
     assert combination_csf(full).terms == chromatic_symmetric_function(k5).terms
+
+
+def reduce_within(monkeypatch, g: Graph, splits: int):
+    """Reduce g under a budget of exactly `splits`, after checking that one
+    split fewer is refused: g needs exactly that many splits."""
+    monkeypatch.setattr(rewrite, "REDUCE_WORK_LIMIT", splits - 1)
+    with pytest.raises(ResourceLimitError, match=f"more than {splits - 1} splits"):
+        rewrite.reduce_triangle_free(g)
+    monkeypatch.setattr(rewrite, "REDUCE_WORK_LIMIT", splits)
+    return rewrite.reduce_triangle_free(g)
 
 
 # ---------------------------------------------------------------------------
@@ -295,15 +293,13 @@ def decode(code: str) -> Graph:
     return Graph(7, tuple((int(code[k]), int(code[k + 1])) for k in range(0, len(code), 2)))
 
 
-def count_splits(monkeypatch) -> list:
-    splits = []
-
-    def counting_split(g, *edges):
-        splits.append(edges)
-        return triangle_split(g, *edges)
-
-    monkeypatch.setattr(rewrite, "triangle_split", counting_split)
-    return splits
+def first_kept_triangle(table, mask: int):
+    """The first triangle of a ``_triangle_table`` whose three edges the mask keeps."""
+    for e1, pairs in table:
+        for e2, e3 in pairs:
+            if all(mask >> e & 1 for e in (e1, e2, e3)):
+                return e1, e2, e3
+    return None
 
 
 def test_first_triangle_matches_pair_scan():
@@ -314,10 +310,17 @@ def test_first_triangle_matches_pair_scan():
         pool = list(combinations(range(n), 2))
         rng.shuffle(pool)
         g = Graph(n, tuple(pool[: rng.randint(0, len(pool))]))
-        want = find_triangle(g)
-        free += want is None
-        assert rewrite._first_triangle(g) == want, g
-    assert 300 < free < 2100
+        table = rewrite._triangle_table(g)
+        for mask in ((1 << g.edge_count) - 1, rng.getrandbits(g.edge_count)):
+            kept = [i for i in range(g.edge_count) if mask >> i & 1]
+            sub = Graph(n, tuple(g.edges[i] for i in kept))
+            want = find_triangle(sub)
+            assert want == first_triangle_by_pairs(sub)
+            free += want is None
+            # The subgraph's edge i is g's edge kept[i].
+            expected = None if want is None else tuple(kept[i] for i in want)
+            assert first_kept_triangle(table, mask) == expected, (g, mask)
+    assert 1000 < free < 3800
 
 
 def test_reduce_matches_unmerged_depth_first_route():
@@ -334,9 +337,7 @@ def test_reduce_matches_unmerged_depth_first_route():
 
 @pytest.mark.parametrize("n, splits", [(5, 41), (6, 256), (7, 1807)])
 def test_reduce_split_counts_on_cliques(monkeypatch, n, splits):
-    made = count_splits(monkeypatch)
-    rewrite.reduce_triangle_free(clique(n))
-    assert len(made) == splits
+    assert len(reduce_within(monkeypatch, clique(n), splits).terms) == math.factorial(n) // 2
 
 
 def test_reduce_k7_sums_to_its_csf():
@@ -359,3 +360,23 @@ def test_reduce_refusal_holds_a_bounded_frontier(monkeypatch):
         tracemalloc.stop()
     # Masks keep this near 0.2 MB; a frontier keyed by edge tuples takes 1.9 MB.
     assert peak < 1 << 20
+
+
+def test_reduce_builds_a_graph_only_per_returned_term(monkeypatch):
+    k6, k16 = clique(6), clique(16)
+    made = []
+    validate = Graph.__post_init__
+
+    def counting_post_init(self):
+        made.append(self.edges)
+        validate(self)
+
+    monkeypatch.setattr(Graph, "__post_init__", counting_post_init)
+    combo = rewrite.reduce_triangle_free(k6)
+    assert len(made) == len(combo.terms) == 360
+    assert sorted(made) == sorted(h.edges for _, h in combo.terms)
+    made.clear()
+    monkeypatch.setattr(rewrite, "REDUCE_WORK_LIMIT", 4096)
+    with pytest.raises(ResourceLimitError, match="more than 4096 splits"):
+        rewrite.reduce_triangle_free(k16)
+    assert made == []
