@@ -24,7 +24,7 @@ from dataclasses import dataclass
 from math import comb
 
 from .errors import ResourceLimitError
-from .graph import Graph, _bfs, connected_components, cycle_vertices
+from .graph import Graph, _bfs, _skipped_edge
 from .partitions import Partition, parse_partition_key, partition_key
 
 DEFAULT_MAX_EDGES = 30
@@ -139,23 +139,28 @@ def _connected_sets(nbr: list[int], low: int, within: int):
             ban |= bit
 
 
-def _vertex_dp_terms(comp: list[int], adj, pw: list[int], mult: list[int]) -> dict[int, int]:
-    """Connected set-partition DP over bitmasks of one component's vertices.
+def _vertex_dp_terms(order: list[int], adj, pw: list[int], mult: list[int]) -> dict[int, int]:
+    """Connected set-partition DP over bitmasks of one component's vertices,
+    labelled in the breadth-first ``order``, which keeps the reachable R few.
 
     c({v}) = 1 and, for |B| >= 2, c(B) = -sum c(B') over proper B' < B with
     min(B) in B' and B - B' independent, since the signed count of all edge
     subsets of G[B] is [G[B] has no edge].  Then X = h(V) with
     h(R) = sum over connected B containing min(R) of c(B) mult[|B|] p_|B| h(R - B),
-    run forward with the remaining sets R grouped by their least vertex.
+    run forward with the remaining sets R grouped by their least vertex.  Both
+    read at least vertex i only sets whose least vertex is i, so they run one
+    i at a time, and the remainder "every vertex >= i" reuses c's sets.
     """
-    order = _bfs(adj, comp[0], [-1] * len(adj))  # breadth-first labels keep the reachable R few
     k, local = len(order), {v: i for i, v in enumerate(order)}
     nbr = [sum(1 << local[w] for w in adj[v]) for v in order]
-    full, c = (1 << k) - 1, {}
+    full = (1 << k) - 1
+    pending: list = [{} for _ in range(k + 1)]  # index -1 is k: R empty
+    pending[0][full] = {0: 1}
     for i in range(k):
         low = 1 << i
-        c[low] = 1
-        for b in sorted(_connected_sets(nbr, low, full & -low), key=int.bit_count)[1:]:
+        sets = sorted(_connected_sets(nbr, low, full & -low), key=int.bit_count)
+        c = {low: 1}
+        for b in sets[1:]:
             # a leaf's one edge lies in every connected spanning subset
             rest = b ^ low
             while rest:
@@ -176,11 +181,8 @@ def _vertex_dp_terms(comp: list[int], adj, pw: list[int], mult: list[int]) -> di
                         cand ^= bit
                         stack.append((chosen | bit, cand & ~nbr[bit.bit_length() - 1]))
                 c[b] = -total
-    pending: list = [{} for _ in range(k + 1)]  # index -1 is k: R empty
-    pending[0][full] = {0: 1}
-    for i in range(k):
         for r, poly in pending[i].items():
-            for b in _connected_sets(nbr, 1 << i, r):
+            for b in sets if r == full & -low else _connected_sets(nbr, low, r):
                 rest = r ^ b
                 target = pending[(rest & -rest).bit_length() - 1].setdefault(rest, {})
                 size = b.bit_count()
@@ -193,26 +195,30 @@ def _vertex_dp_terms(comp: list[int], adj, pw: list[int], mult: list[int]) -> di
 
 def _expansion(g: Graph, max_edges: int, pw: list[int], mult: list[int]) -> dict[int, int]:
     """X_G as {code: coefficient}, each closed part of size s adding pw[s] to the
-    code and multiplying by mult[s] (mult[0] = 1), after the up-front limits."""
+    code and multiplying by mult[s] (mult[0] = 1), after the up-front limits.
+
+    One breadth-first pass gives each component's vertices in order, its
+    cyclomatic number r and, for r = 1, the edge to drop: the one it skipped.
+    """
     n, m, adj = g.vertex_count, g.edge_count, g.adjacency
     if m > max_edges:
         raise ResourceLimitError(
             f"graph has {m} edges, above the enumeration cap of {max_edges}"
         )
-    comps = [(c, sum(len(adj[v]) for v in c) // 2 - len(c) + 1) for c in connected_components(g)]
+    parent = [-1] * n
+    comps = [(c, sum(len(adj[v]) for v in c) // 2 - len(c) + 1)
+             for c in [_bfs(adj, s, parent) for s in range(n) if parent[s] < 0]]
     for comp, r in comps:
         if r >= 2 and 1 << len(comp) > VERTEX_DP_WORK_LIMIT:
             raise ResourceLimitError(f"a component with {len(comp)} vertices and cyclomatic "
                                      f"number {r} needs 2^{len(comp)} vertex masks, above "
                                      f"the limit of {VERTEX_DP_WORK_LIMIT}")
-    cyc = set(cycle_vertices(g)) if any(r == 1 for _, r in comps) else ()
     total = {0: 1}
     for comp, r in comps:
         if r == 0:
             part = _sparse_terms(adj, comp[0], None, pw, mult)
-        elif r == 1:  # drop the edge from a cycle vertex to a cycle neighbour
-            root = next(v for v in comp if v in cyc)
-            part = _sparse_terms(adj, root, next(w for w in adj[root] if w in cyc), pw, mult)
+        elif r == 1:
+            part = _sparse_terms(adj, *_skipped_edge(adj, comp, parent), pw, mult)
         else:
             part = _vertex_dp_terms(comp, adj, pw, mult)
         product: dict[int, int] = {}

@@ -9,7 +9,6 @@ unicyclic-specific operations.
 
 from __future__ import annotations
 
-from collections import deque
 from dataclasses import dataclass
 from functools import cached_property
 from itertools import combinations, product
@@ -217,52 +216,39 @@ def _count_triangles(g: Graph) -> int:
 
 
 def _girth(g: Graph) -> int | None:
-    """Length of a shortest cycle via BFS from every start, None if acyclic."""
-    n = g.vertex_count
-    adj = g.adjacency
+    """Length of a shortest cycle (None if acyclic): the least depth(u) + depth(v) + 1
+    over the edges uv a breadth-first pass from some start does not take."""
+    n, adj = g.vertex_count, g.adjacency
     best: int | None = None
     for s in range(n):
-        dist = [-1] * n
-        parent = [-1] * n
-        dist[s] = 0
-        queue = deque([s])
-        while queue:
-            x = queue.popleft()
-            for y in adj[x]:
-                if dist[y] == -1:
-                    dist[y] = dist[x] + 1
-                    parent[y] = x
-                    queue.append(y)
+        parent, depth = [-1] * n, [0] * n
+        for v in _bfs(adj, s, parent)[1:]:
+            depth[v] = depth[parent[v]] + 1
         for u, v in g.edges:
-            if dist[u] < 0 or dist[v] < 0:
-                continue
-            if parent[u] == v or parent[v] == u:
-                continue  # BFS tree edge, no cycle here
-            cand = dist[u] + dist[v] + 1
-            if best is None or cand < best:
-                best = cand
+            if parent[u] >= 0 and parent[u] != v and parent[v] != u:  # v is reached with u
+                if best is None or depth[u] + depth[v] + 1 < best:
+                    best = depth[u] + depth[v] + 1
     return best
 
 
 def _matching_counts(g: Graph) -> tuple[int, ...]:
-    """counts[k-1] = number of k-edge matchings, by recursive enumeration."""
-    edges = g.edges
-    m = len(edges)
-    counts: list[int] = []
-
-    def extend(start: int, used: int, size: int) -> None:
-        for j in range(start, m):
-            u, v = edges[j]
-            bits = (1 << u) | (1 << v)
-            if used & bits:
-                continue
-            if size == len(counts):
-                counts.append(0)
-            counts[size] += 1
-            extend(j + 1, used | bits, size + 1)
-
-    extend(0, 0, 0)
-    return tuple(counts)
+    """counts[k-1] = number of k-edge matchings, by a DP over the vertices in
+    order keyed by (later vertices already matched, matching size); after
+    vertex v a key holds at most min(v + 1, n - 1 - v) vertices."""
+    later = [[w for w in nbrs if w > v] for v, nbrs in enumerate(g.adjacency)]
+    states = {(0, 0): 1}
+    for v, nbrs in enumerate(later):
+        bit, step = 1 << v, {}
+        for (matched, size), count in states.items():
+            if matched & bit:  # v was matched to an earlier vertex
+                moves = [(matched ^ bit, size)]
+            else:  # v stays unmatched, or takes a later neighbour not yet matched
+                moves = [(matched, size)] + [(matched | 1 << w, size + 1) for w in nbrs
+                                             if not matched >> w & 1]
+            for key in moves:
+                step[key] = step.get(key, 0) + count
+        states = step
+    return tuple(states[0, k] for k in range(1, len(states)))
 
 
 def structural_report(g: Graph) -> StructuralReport:
@@ -311,25 +297,31 @@ class CycleStats:
     degree2_on_cycle: int  # I
 
 
+def _skipped_edge(adj, order: list[int], parent: list[int]) -> tuple[int, int]:
+    """The first edge at ``order`` that the breadth-first pass leaving ``parent``
+    did not take: in a unicyclic component, the only one, and on the cycle."""
+    return next((x, y) for x in order for y in adj[x] if parent[x] != y and parent[y] != x)
+
+
 def cycle_vertices(g: Graph) -> list[int]:
-    """Vertices of the unique cycle of a connected unicyclic graph."""
-    deg = g.degrees()
-    alive = [True] * g.vertex_count
-    queue = deque(v for v in range(g.vertex_count) if deg[v] == 1)
-    while queue:
-        v = queue.popleft()
-        alive[v] = False
-        for w in g.adjacency[v]:
-            if alive[w]:
-                deg[w] -= 1
-                if deg[w] == 1:
-                    queue.append(w)
-    return [v for v in range(g.vertex_count) if alive[v]]
+    """Vertices of the unique cycle of a connected unicyclic graph, sorted: the
+    edge a breadth-first pass skips, closed by the pass's parent paths from its
+    two ends up to where they meet."""
+    n, adj = g.vertex_count, g.adjacency
+    parent = [-1] * n
+    if not n or g.edge_count != n or len(order := _bfs(adj, 0, parent)) != n:
+        raise ValueError("expected a connected unicyclic graph")
+    x, y = _skipped_edge(adj, order, parent)
+    up = [x]
+    while parent[up[-1]] != up[-1]:
+        up.append(parent[up[-1]])
+    on_up, cycle = set(up), [y]
+    while cycle[-1] not in on_up:
+        cycle.append(parent[cycle[-1]])
+    return sorted(cycle + up[:up.index(cycle[-1])])
 
 
 def cycle_stats(g: Graph) -> CycleStats:
-    if g.vertex_count != g.edge_count or not is_connected(g):
-        raise ValueError("cycle_stats requires a connected unicyclic graph")
     cyc = cycle_vertices(g)
     deg = g.degrees()
     return CycleStats(

@@ -4,7 +4,9 @@ Everything here recomputes quantities the package also computes, by a
 different route: Pruefer sequences for tree enumeration, explicit vertex
 bijections for isomorphism, a union-find for component orders, X_G by
 enumerating all 2^E edge subsets (the definition, against which the package's
-structured kernels are checked), and a component-tracking dynamic program that expands X_G for forests and
+structured kernels are checked), the cycle of a unicyclic graph by stripping
+leaves, the girth by deleting each edge in turn, matching counts by listing
+every matching, and a component-tracking dynamic program that expands X_G for forests and
 connected unicyclic graphs without touching 2^E subsets.  The DP lets the
 suite check CSF equality on glued pairs far beyond what the subset
 enumerator can reach in test time.  The collision search is redone the
@@ -19,6 +21,7 @@ also checked off the labelling its input was generated in.
 
 from __future__ import annotations
 
+from collections import deque
 from itertools import combinations, permutations, product
 
 from csfkit import (
@@ -30,7 +33,7 @@ from csfkit import (
     chromatic_symmetric_function,
     triangle_split,
 )
-from csfkit.graph import _bfs, _level_sequences, connected_components, cycle_vertices, tree_from_levels
+from csfkit.graph import _bfs, _level_sequences, connected_components, tree_from_levels
 
 
 # ---------------------------------------------------------------------------
@@ -158,6 +161,65 @@ def subset_csf(g: Graph) -> PowerSumPolynomial:
 
 
 # ---------------------------------------------------------------------------
+# Structural invariants by their definitions
+
+
+def cycle_vertices_by_stripping(g: Graph) -> list[int]:
+    """Vertices of the unique cycle of a connected unicyclic graph, sorted:
+    strip leaves until none remain."""
+    deg = g.degrees()
+    alive = [True] * g.vertex_count
+    queue = deque(v for v in range(g.vertex_count) if deg[v] == 1)
+    while queue:
+        v = queue.popleft()
+        alive[v] = False
+        for w in g.adjacency[v]:
+            if alive[w]:
+                deg[w] -= 1
+                if deg[w] == 1:
+                    queue.append(w)
+    return [v for v in range(g.vertex_count) if alive[v]]
+
+
+def girth_by_edge_removal(g: Graph) -> int | None:
+    """Shortest cycle: for each edge uv, one more than the u-v distance in
+    G - uv (None if no edge lies on a cycle)."""
+    best = None
+    for u, v in g.edges:
+        dist = {u: 0}
+        queue = deque([u])
+        while queue and v not in dist:
+            x = queue.popleft()
+            for y in g.adjacency[x]:
+                if y not in dist and {x, y} != {u, v}:
+                    dist[y] = dist[x] + 1
+                    queue.append(y)
+        if v in dist and (best is None or dist[v] + 1 < best):
+            best = dist[v] + 1
+    return best
+
+
+def matching_counts_by_recursion(g: Graph) -> tuple[int, ...]:
+    """counts[k-1] = number of k-edge matchings, listing every matching."""
+    edges = g.edges
+    counts: list[int] = []
+
+    def extend(start: int, used: int, size: int) -> None:
+        for j in range(start, len(edges)):
+            u, v = edges[j]
+            bits = (1 << u) | (1 << v)
+            if used & bits:
+                continue
+            if size == len(counts):
+                counts.append(0)
+            counts[size] += 1
+            extend(j + 1, used | bits, size + 1)
+
+    extend(0, 0, 0)
+    return tuple(counts)
+
+
+# ---------------------------------------------------------------------------
 # Structured exact expansion of X_G (forests and connected unicyclic graphs)
 #
 # DP state at a vertex v, over edge subsets of the processed part of its
@@ -235,7 +297,7 @@ def unicyclic_csf(g: Graph) -> PowerSumPolynomial:
     the components of the edge's endpoints, with one extra sign flip.
     """
     assert g.vertex_count == g.edge_count
-    cyc = set(cycle_vertices(g))
+    cyc = set(cycle_vertices_by_stripping(g))
     e0 = next(i for i, (u, v) in enumerate(g.edges) if u in cyc and v in cyc)
     a, b = g.edges[e0]
     tree = g.with_edges_removed([e0])
@@ -300,7 +362,7 @@ def unicyclic_canonical_key(g: Graph) -> tuple:
     the trees hanging at each cycle vertex; the key is the minimum of that
     sequence over both rotations and reflection.
     """
-    cyc = cycle_vertices(g)
+    cyc = cycle_vertices_by_stripping(g)
     cyc_set = set(cyc)
     order = [cyc[0]]
     prev = -1

@@ -210,7 +210,7 @@ def test_decompose_triangle(tmp_path, capsys):
     total = None
     for ln in lines:
         coeff, term_path = ln.split()
-        term = chromatic_symmetric_function(parse_graph(open(term_path).read()))
+        term = chromatic_symmetric_function(parse_graph(Path(term_path).read_text()))
         scaled = {k: int(coeff) * v for k, v in term.terms.items()}
         total = scaled if total is None else {
             k: total.get(k, 0) + scaled.get(k, 0) for k in set(total) | set(scaled)
@@ -229,7 +229,7 @@ def test_decompose_reduce_eliminates_triangles(tmp_path, capsys):
     total = {}
     for ln in out.splitlines():
         coeff, term_path = ln.split()
-        h = parse_graph(open(term_path).read())
+        h = parse_graph(Path(term_path).read_text())
         assert structural_report(h).triangle_count == 0
         for k, v in chromatic_symmetric_function(h).terms.items():
             total[k] = total.get(k, 0) + int(coeff) * v
@@ -302,8 +302,8 @@ def test_make_pair_outputs_equal(tmp_path, capsys):
     lines = out.splitlines()
     assert lines[0].endswith("_h.graph") and lines[1].endswith("_j.graph")
     assert lines[2].startswith("csf-sha256 ")
-    h = parse_graph(open(lines[0]).read())
-    j = parse_graph(open(lines[1]).read())
+    h = parse_graph(Path(lines[0]).read_text())
+    j = parse_graph(Path(lines[1]).read_text())
     assert csf_equal(chromatic_symmetric_function(h), chromatic_symmetric_function(j))
     assert unicyclic_canonical_key(h) == unicyclic_canonical_key(COLLISION_LEFT6)
     assert unicyclic_canonical_key(j) == unicyclic_canonical_key(COLLISION_RIGHT6)

@@ -26,7 +26,7 @@ from csfkit import (
 from csfkit.csf import csf_value
 from csfkit.graph import connected_components
 
-from oracles import subset_csf, unicyclic_canonical_key
+from oracles import cycle_vertices_by_stripping, subset_csf, unicyclic_canonical_key
 
 
 def assert_kernels_match(g: Graph) -> None:
@@ -109,9 +109,19 @@ def test_mixed_components_cover_every_kernel():
     rng = random.Random(7)
     for _ in range(20):
         g = random_tree_unicyclic_dense(rng, rng.randint(8, 9))
-        ranks = [sum(1 for u, _ in g.edges if u in comp) - len(comp) + 1
-                 for comp in connected_components(g)]
+        comps = connected_components(g)
+        ranks = [sum(1 for u, _ in g.edges if u in comp) - len(comp) + 1 for comp in comps]
         assert sorted(min(r, 2) for r in ranks) == [0, 1, 2]
+        assert_kernels_match(g)
+        # hang a new leaf on the unicyclic component and give it the component's
+        # least label, so the traversal from the leaf skips an edge away from it
+        comp, n = comps[ranks.index(1)], g.vertex_count
+        swap = {comp[0]: n, n: comp[0]}
+        edges = list(g.edges) + [(rng.choice(comp), n)]
+        h = Graph(n + 1, tuple(sorted(tuple(sorted((swap.get(a, a), swap.get(b, b))))
+                                      for a, b in edges)))
+        assert comp[0] not in cycle_vertices_by_stripping(h)
+        assert_kernels_match(h)
 
 
 def test_specialization_matches_brute_force_colorings():

@@ -1,5 +1,6 @@
 import random
 from itertools import combinations
+from math import comb, factorial
 
 import pytest
 
@@ -12,12 +13,13 @@ from csfkit import (
     chromatic_symmetric_function,
     cycle_stats,
     enumerate_trees,
+    enumerate_unicyclic,
     parse_graph,
     pi_type,
     structural_report,
     vertex_weights,
 )
-from csfkit.graph import _tree_centers, connected_components, is_forest, rooted_code
+from csfkit.graph import _tree_centers, connected_components, cycle_vertices, is_forest, rooted_code
 
 from fixtures import (
     ATTRACTION_TREE17,
@@ -31,7 +33,15 @@ from fixtures import (
     TWO_CENTROID_WEIGHTS16,
     TYPE_DEMO_GRAPH11,
 )
-from oracles import all_labelled_trees, brute_force_isomorphic, component_orders
+from oracles import (
+    all_labelled_trees,
+    brute_force_isomorphic,
+    component_orders,
+    cycle_vertices_by_stripping,
+    girth_by_edge_removal,
+    matching_counts_by_recursion,
+    relabelled,
+)
 
 K3 = Graph(3, ((0, 1), (0, 2), (1, 2)))
 
@@ -187,6 +197,40 @@ def test_matching_counts_match_csf_coefficients():
             assert abs(x.coefficient((2,) * k + (1,) * (n - 2 * k))) == count
 
 
+def random_graph(rng: random.Random, n: int, most: int) -> Graph:
+    pool = list(combinations(range(n), 2))
+    rng.shuffle(pool)
+    return Graph(n, tuple(sorted(pool[: rng.randint(0, min(most, len(pool)))])))
+
+
+def test_girth_matches_deleting_each_edge():
+    rng = random.Random(5)
+    for _ in range(200):
+        n = rng.randint(1, 10)
+        g = random_graph(rng, n, 2 * n)  # sparse enough for long cycles and forests
+        assert structural_report(g).girth == girth_by_edge_removal(g), g
+
+
+def test_matching_counts_match_listing_every_matching():
+    rng = random.Random(11)
+    for _ in range(300):
+        n = rng.randint(0, 10)
+        g = random_graph(rng, n, n * n)
+        assert structural_report(g).matching_counts == matching_counts_by_recursion(g), g
+
+
+def test_matching_counts_of_paths_and_complete_graphs():
+    for n in (*range(1, 13), 60):  # P60 has about 2.5 * 10^12 matchings
+        path = Graph(n, tuple((i, i + 1) for i in range(n - 1)))
+        want = tuple(comb(n - k, k) for k in range(1, n // 2 + 1))
+        assert structural_report(path).matching_counts == want
+    for n in range(1, 17):
+        kn = Graph(n, tuple(combinations(range(n), 2)))
+        want = tuple(factorial(n) // (factorial(k) * 2 ** k * factorial(n - 2 * k))
+                     for k in range(1, n // 2 + 1))
+        assert structural_report(kn).matching_counts == want
+
+
 # ---------------------------------------------------------------------------
 # weights, centroids, cycle stats
 
@@ -237,10 +281,20 @@ def test_cycle_stats_collision_pair():
 def test_cycle_stats_k3_and_rejections():
     stats = cycle_stats(K3)
     assert (stats.cycle_length, stats.leaf_count, stats.degree2_on_cycle) == (3, 0, 3)
-    with pytest.raises(ValueError):
-        cycle_stats(CHROMATIC_TREE7)
-    with pytest.raises(ValueError):
-        cycle_stats(Graph(6, ((0, 1), (1, 2), (0, 2), (3, 4), (4, 5), (3, 5))))
+    two_triangles = Graph(6, ((0, 1), (1, 2), (0, 2), (3, 4), (4, 5), (3, 5)))
+    k4 = Graph(4, tuple(combinations(range(4), 2)))
+    for g in (Graph(0, ()), CHROMATIC_TREE7, two_triangles, k4):
+        for f in (cycle_stats, cycle_vertices):
+            with pytest.raises(ValueError, match="connected unicyclic"):
+                f(g)
+
+
+def test_cycle_vertices_match_leaf_stripping():
+    rng = random.Random(13)
+    for n in range(3, 10):
+        for g in enumerate_unicyclic(n):
+            for h in (g, relabelled(rng, n, g.edges), relabelled(rng, n, g.edges)):
+                assert cycle_vertices(h) == cycle_vertices_by_stripping(h), h
 
 
 # ---------------------------------------------------------------------------

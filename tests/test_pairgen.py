@@ -12,6 +12,7 @@ from csfkit import (
     structural_report,
     verify_p1,
 )
+from csfkit import search
 from csfkit.graph import rooted_code
 
 from fixtures import COLLISION_LEFT6, COLLISION_RIGHT6
@@ -162,3 +163,33 @@ def test_rooted_tree_validation():
         RootedTree(Graph(3, ((0, 1), (0, 2), (1, 2))), 0)
     with pytest.raises(ValueError):
         RootedTree(Graph(2, ((0, 1),)), 5)
+
+
+def test_glued_pairs_up_to_order_12_share_a_search_group():
+    # gluing rooted trees of orders a and b gives graphs of order 2(a + b)
+    rooted = {a: [RootedTree(t, r) for t, r in all_rooted_trees(a, enumerate_trees, rooted_code)]
+              for a in range(1, 6)}
+    groups: dict[int, list[set]] = {}
+    explained: dict[int, set[int]] = {}  # order -> indices of groups holding a glued pair
+    distinct = 0
+    for a in range(1, 6):
+        for b in range(1, 7 - a):
+            n = 2 * (a + b)
+            if n not in groups:
+                groups[n] = [{unicyclic_canonical_key(search._line_graph(line)) for line in group}
+                             for group in search.run_search(n, "unicyclic", 30).groups]
+                explained[n] = set()
+            for t1 in rooted[a]:
+                for t2 in rooted[b]:
+                    h, j = glue_rooted_trees(t1, t2)
+                    assert h.vertex_count == n
+                    pair = {unicyclic_canonical_key(h), unicyclic_canonical_key(j)}
+                    if len(pair) == 2:
+                        hits = [i for i, keys in enumerate(groups[n]) if pair <= keys]
+                        assert len(hits) == 1, (t1, t2)
+                        explained[n].update(hits)
+                        distinct += 1
+    assert distinct == 46
+    # every collision group through n = 10 holds a glued pair, all but one at n = 12
+    assert {n: (len(explained[n]), len(groups[n])) for n in groups} == {
+        4: (0, 0), 6: (1, 1), 8: (2, 2), 10: (6, 6), 12: (14, 15)}
