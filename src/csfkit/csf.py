@@ -24,7 +24,7 @@ from dataclasses import dataclass
 from math import comb
 
 from .errors import ResourceLimitError
-from .graph import Graph, _bfs, _skipped_edge
+from .graph import Graph, _bfs, _components, _skipped_edge
 from .partitions import Partition, parse_partition_key, partition_key
 
 DEFAULT_MAX_EDGES = 30
@@ -74,12 +74,13 @@ class PowerSumPolynomial:
         return cls(n, {_partition(code, n): coeff for code, coeff in codes.items()})
 
 
-def _sparse_terms(adj, root: int, tracked: int | None, pw: list[int],
-                  mult: list[int]) -> dict[int, int]:
+def _sparse_terms(adj, order: list[int], parent: list[int], tracked: int | None,
+                  pw: list[int], mult: list[int]) -> dict[int, int]:
     """Tree component (tracked None), or unicyclic with root-tracked on the cycle.
 
-    A rooted DP over the tree left once the edge root-tracked is dropped.  A
-    state is (root's component size, t, code of the closed component sizes)
+    A rooted DP over the tree left once the edge root-tracked is dropped,
+    given as a ``graph._bfs`` order from root = order[0] and its parent list.
+    A state is (root's component size, t, code of the closed component sizes)
     -> signed subset count, where t is 0 when nothing is tracked, -1 while the
     tracked vertex shares the root's component, and the size of its component
     once that closed.  Taking the dropped edge fuses those two components and
@@ -87,17 +88,12 @@ def _sparse_terms(adj, root: int, tracked: int | None, pw: list[int],
     component of size s adds pw[s] to the code and multiplies by mult[s]; the
     tracked vertex's component is weighed at the root, once its size is final.
     """
-    order, parent = [root], {root: -1}
-    for x in order:
-        for y in adj[x]:
-            if y not in parent and (x, y) != (root, tracked):
-                parent[y] = x
-                order.append(y)
+    root = order[0]
     states: dict[int, dict] = {}
     for v in reversed(order):
         mine = {(1, -1 if v == tracked else 0, 0): 1}
         for c in adj[v]:
-            if parent.get(c) != v:
+            if parent[c] != v:
                 continue
             merged: dict = {}
             get = merged.get
@@ -206,8 +202,7 @@ def _expansion(g: Graph, max_edges: int, pw: list[int], mult: list[int]) -> dict
             f"graph has {m} edges, above the enumeration cap of {max_edges}"
         )
     parent = [-1] * n
-    comps = [(c, sum(len(adj[v]) for v in c) // 2 - len(c) + 1)
-             for c in [_bfs(adj, s, parent) for s in range(n) if parent[s] < 0]]
+    comps = [(c, sum(len(adj[v]) for v in c) // 2 - len(c) + 1) for c in _components(adj, parent)]
     for comp, r in comps:
         if r >= 2 and 1 << len(comp) > VERTEX_DP_WORK_LIMIT:
             raise ResourceLimitError(f"a component with {len(comp)} vertices and cyclomatic "
@@ -216,9 +211,12 @@ def _expansion(g: Graph, max_edges: int, pw: list[int], mult: list[int]) -> dict
     total = {0: 1}
     for comp, r in comps:
         if r == 0:
-            part = _sparse_terms(adj, comp[0], None, pw, mult)
-        elif r == 1:
-            part = _sparse_terms(adj, *_skipped_edge(adj, comp, parent), pw, mult)
+            part = _sparse_terms(adj, comp, parent, None, pw, mult)
+        elif r == 1:  # walk again from one end of the skipped edge, without that edge
+            x, y = _skipped_edge(adj, comp, parent)
+            cut, tree = list(adj), [-1] * n
+            cut[x] = [w for w in adj[x] if w != y]
+            part = _sparse_terms(cut, _bfs(cut, x, tree), tree, y, pw, mult)
         else:
             part = _vertex_dp_terms(comp, adj, pw, mult)
         product: dict[int, int] = {}

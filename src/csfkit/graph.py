@@ -143,9 +143,9 @@ def _bfs(adj, root: int, parent: list[int]) -> list[int]:
     return order
 
 
-def _components(adj) -> list[list[int]]:
-    """Breadth-first vertex order of each component, in first-vertex order."""
-    parent = [-1] * len(adj)
+def _components(adj, parent: list[int]) -> list[list[int]]:
+    """Breadth-first vertex order of each component, in first-vertex order, by
+    ``_bfs`` from each vertex still unvisited in ``parent`` (all -1 to start)."""
     return [_bfs(adj, s, parent) for s in range(len(adj)) if parent[s] < 0]
 
 
@@ -166,21 +166,16 @@ def pi_type(g: Graph, edge_indices: Iterable[int]) -> Partition:
         u, v = g.edges[i]
         adj[u].append(v)
         adj[v].append(u)
-    return tuple(sorted(map(len, _components(adj)), reverse=True))
-
-
-def connected_components(g: Graph) -> list[list[int]]:
-    """Vertex lists of the components, each sorted, in first-vertex order."""
-    return [sorted(c) for c in _components(g.adjacency)]
+    return tuple(sorted(map(len, _components(adj, [-1] * g.vertex_count)), reverse=True))
 
 
 def is_connected(g: Graph) -> bool:
-    return len(_components(g.adjacency)) <= 1
+    return len(_components(g.adjacency, [-1] * g.vertex_count)) <= 1
 
 
 def is_forest(g: Graph) -> bool:
     """No cycles: every component has one more vertex than it has edges."""
-    return len(_components(g.adjacency)) == g.vertex_count - g.edge_count
+    return len(_components(g.adjacency, [-1] * g.vertex_count)) == g.vertex_count - g.edge_count
 
 
 def is_tree(g: Graph) -> bool:

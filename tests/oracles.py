@@ -33,7 +33,7 @@ from csfkit import (
     chromatic_symmetric_function,
     triangle_split,
 )
-from csfkit.graph import _bfs, _level_sequences, connected_components, tree_from_levels
+from csfkit.graph import _bfs, _components, _level_sequences, tree_from_levels
 
 
 # ---------------------------------------------------------------------------
@@ -278,7 +278,7 @@ def _tree_terms(g: Graph, root: int) -> dict[tuple, int]:
 def forest_csf(g: Graph) -> PowerSumPolynomial:
     """X_G for a forest, via per-tree DP and cross-component convolution."""
     total: dict[tuple, int] = {(): 1}
-    for comp in connected_components(g):
+    for comp in _components(g.adjacency, [-1] * g.vertex_count):
         part = _tree_terms(g, comp[0])
         combined: dict[tuple, int] = {}
         for pa, ca in total.items():

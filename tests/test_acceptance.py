@@ -37,7 +37,7 @@ from csfkit import (
     wedge_split,
 )
 from csfkit.search import run_search
-from csfkit.graph import connected_components, rooted_code
+from csfkit.graph import _components, rooted_code
 from csfkit.treedata import ThetaTable
 
 from fixtures import (
@@ -225,7 +225,7 @@ def test_criterion_08_cut_data_equivalences():
 
 
 def _far_side(t: Graph, edge_index: int, cent: int) -> set[int]:
-    comps = connected_components(t.with_edges_removed([edge_index]))
+    comps = _components(t.with_edges_removed([edge_index]).adjacency, [-1] * t.vertex_count)
     a, b = set(comps[0]), set(comps[1])
     return b if cent in a else a
 

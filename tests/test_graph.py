@@ -19,7 +19,7 @@ from csfkit import (
     structural_report,
     vertex_weights,
 )
-from csfkit.graph import _tree_centers, connected_components, cycle_vertices, is_forest, rooted_code
+from csfkit.graph import _components, _tree_centers, cycle_vertices, is_forest, rooted_code
 
 from fixtures import (
     ATTRACTION_TREE17,
@@ -413,10 +413,17 @@ def test_pi_type_and_components_match_union_find():
         g = Graph(n, tuple(sorted(rng.sample(pairs, rng.randint(0, len(pairs))))))
         subset = [i for i in range(g.edge_count) if rng.random() < 0.5]
         assert pi_type(g, subset) == component_orders(n, [g.edges[i] for i in subset])
-        comps = connected_components(g)
+        parent = [-1] * n
+        comps = _components(g.adjacency, parent)
         assert tuple(sorted(map(len, comps), reverse=True)) == component_orders(n, g.edges)
         assert sorted(v for c in comps for v in c) == list(range(n))
-        assert all(c == sorted(c) for c in comps) and [c[0] for c in comps] == sorted(c[0] for c in comps)
+        # each starts at its least vertex, and each later vertex's parent is an
+        # earlier neighbour in its order
+        assert [c[0] for c in comps] == sorted(min(c) for c in comps)
+        for c in comps:
+            assert parent[c[0]] == c[0]
+            assert all(g.has_edge(v, parent[v]) and c.index(parent[v]) < i
+                       for i, v in enumerate(c) if i)
 
 
 def _chain(k: int) -> str:

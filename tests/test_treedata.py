@@ -322,9 +322,9 @@ def test_separating_edge_has_greater_image():
 
 def _sides(t: Graph, edge_index: int):
     removed = t.with_edges_removed([edge_index])
-    from csfkit.graph import connected_components
+    from csfkit.graph import _components
 
-    comps = connected_components(removed)
+    comps = _components(removed.adjacency, [-1] * removed.vertex_count)
     assert len(comps) == 2
     return set(comps[0]), set(comps[1])
 
