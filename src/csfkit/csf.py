@@ -24,7 +24,7 @@ from dataclasses import dataclass
 from math import comb
 
 from .errors import ResourceLimitError
-from .graph import Graph, _bfs, _components, _skipped_edge
+from .graph import Graph, _components, _root_path, _skipped_edge
 from .partitions import Partition, parse_partition_key, partition_key
 
 DEFAULT_MAX_EDGES = 30
@@ -79,7 +79,8 @@ def _sparse_terms(adj, order: list[int], parent: list[int], tracked: int | None,
     """Tree component (tracked None), or unicyclic with root-tracked on the cycle.
 
     A rooted DP over the tree left once the edge root-tracked is dropped,
-    given as a ``graph._bfs`` order from root = order[0] and its parent list.
+    given by its parent list (root = order[0] is its own parent) and an order
+    listing each vertex after its parent; adj may keep the dropped edge.
     A state is (root's component size, t, code of the closed component sizes)
     -> signed subset count, where t is 0 when nothing is tracked, -1 while the
     tracked vertex shares the root's component, and the size of its component
@@ -212,11 +213,15 @@ def _expansion(g: Graph, max_edges: int, pw: list[int], mult: list[int]) -> dict
     for comp, r in comps:
         if r == 0:
             part = _sparse_terms(adj, comp, parent, None, pw, mult)
-        elif r == 1:  # walk again from one end of the skipped edge, without that edge
+        elif r == 1:  # the pass's tree, re-rooted at x: path links reversed, path first
             x, y = _skipped_edge(adj, comp, parent)
-            cut, tree = list(adj), [-1] * n
-            cut[x] = [w for w in adj[x] if w != y]
-            part = _sparse_terms(cut, _bfs(cut, x, tree), tree, y, pw, mult)
+            path = _root_path(parent, x)
+            for child, above in zip(path, path[1:]):
+                parent[above] = child
+            parent[x] = x
+            on_path = set(path)
+            order = path + [v for v in comp if v not in on_path]
+            part = _sparse_terms(adj, order, parent, y, pw, mult)
         else:
             part = _vertex_dp_terms(comp, adj, pw, mult)
         product: dict[int, int] = {}

@@ -96,7 +96,7 @@ def parse_graph(text: str) -> Graph:
     if not lines:
         raise GraphParseError("line 1: missing 'n m' header")
     head = lines[0].split()
-    if len(head) != 2 or not all(tok.isdigit() for tok in head):
+    if len(head) != 2 or not all(tok.isdecimal() for tok in head):
         raise GraphParseError(f"line 1: expected 'n m', got {lines[0]!r}")
     n, m = int(head[0]), int(head[1])
     body = [ln for ln in lines[1:]]
@@ -109,7 +109,7 @@ def parse_graph(text: str) -> Graph:
     for k, ln in enumerate(body[:m]):
         lineno = k + 2
         toks = ln.split()
-        if len(toks) != 2 or not all(t.isdigit() for t in toks):
+        if len(toks) != 2 or not all(t.isdecimal() for t in toks):
             raise GraphParseError(f"line {lineno}: expected 'u v', got {ln!r}")
         u, v = int(toks[0]), int(toks[1])
         if u == v:
@@ -147,6 +147,15 @@ def _components(adj, parent: list[int]) -> list[list[int]]:
     """Breadth-first vertex order of each component, in first-vertex order, by
     ``_bfs`` from each vertex still unvisited in ``parent`` (all -1 to start)."""
     return [_bfs(adj, s, parent) for s in range(len(adj)) if parent[s] < 0]
+
+
+def _root_path(parent: list[int], v: int) -> list[int]:
+    """v, its parent, and so on up to the root (the root is its own parent)."""
+    path = [v]
+    while parent[v] != v:
+        v = parent[v]
+        path.append(v)
+    return path
 
 
 def _check_edge_indices(g: Graph, indices) -> None:
@@ -306,14 +315,11 @@ def cycle_vertices(g: Graph) -> list[int]:
     parent = [-1] * n
     if not n or g.edge_count != n or len(order := _bfs(adj, 0, parent)) != n:
         raise ValueError("expected a connected unicyclic graph")
-    x, y = _skipped_edge(adj, order, parent)
-    up = [x]
-    while parent[up[-1]] != up[-1]:
-        up.append(parent[up[-1]])
-    on_up, cycle = set(up), [y]
-    while cycle[-1] not in on_up:
-        cycle.append(parent[cycle[-1]])
-    return sorted(cycle + up[:up.index(cycle[-1])])
+    up, down = (_root_path(parent, v) for v in _skipped_edge(adj, order, parent))
+    while up[-1] == down[-1]:  # drop the shared tail; its lowest vertex is where they meet
+        meet = up.pop()
+        down.pop()
+    return sorted(up + down + [meet])
 
 
 def cycle_stats(g: Graph) -> CycleStats:
@@ -347,9 +353,7 @@ def _tree_centers(t: Graph) -> list[int]:
     adj, n = t.adjacency, t.vertex_count
     end = _bfs(adj, 0, [-1] * n)[-1]
     parent = [-1] * n
-    path = [_bfs(adj, end, parent)[-1]]
-    while path[-1] != end:
-        path.append(parent[path[-1]])
+    path = _root_path(parent, _bfs(adj, end, parent)[-1])
     d = len(path)
     return sorted(path[(d - 1) // 2:d // 2 + 1])
 

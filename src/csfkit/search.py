@@ -3,23 +3,25 @@ graphs whose chromatic symmetric functions are equal.
 
 Trees come from the Wright-Richmond-Odlyzko-McKay generator and connected
 unicyclic graphs from cycles with rooted trees attached; both produce each
-class exactly once, so nothing is deduplicated.  Each graph is bucketed by
-the hash of X_G at one fixed point (``csf_value``, every p_s replaced by a
-fixed odd 61-bit weight), keeping only its printed line; equal functions give
-equal values, so no group is split across buckets.  Every bucket with two or
-more members is split again by the exact maps from part-size codes to
-coefficients (``csf_codes``), which at a fixed order are equal exactly when
-the functions are, so groups never rest on a value or a hash.  A value costs
-one kernel state per component size where a map costs one per size multiset,
-and a map is only built for graphs that share a bucket.  Groups are listed by
-their first member, in enumeration order.  The number of candidates the
-generator would visit is computed first, and a search above
+class exactly once, so nothing is deduplicated.  A first pass keeps one
+64-bit hash per graph, of X_G at one fixed point (``csf_value``, every p_s
+replaced by a fixed odd 61-bit weight); equal functions give equal values,
+so only graphs whose hash repeats can share a function.  When some hash
+repeats, a second pass enumerates the class again and groups the graphs at
+repeated positions by their exact maps from part-size codes to coefficients
+(``csf_codes``), which at a fixed order are equal exactly when the functions
+are, so groups never rest on a value or a hash.  A value costs one kernel
+state per component size where a map costs one per size multiset, and a map
+and a printed line are only built for graphs whose hash repeats.  Groups are
+listed by their first member, in enumeration order.  The number of
+candidates the generator would visit is computed first, and a search above
 SEARCH_WORK_LIMIT is refused before any graph is built.
 """
 
 from __future__ import annotations
 
 import time
+from array import array
 from dataclasses import dataclass
 
 from .csf import csf_codes, csf_value
@@ -81,19 +83,9 @@ def _graph_line(g: Graph) -> str:
     return f"{g.vertex_count} {g.edge_count} {body}".rstrip()
 
 
-def _line_graph(line: str) -> Graph:
-    """Inverse of :func:`_graph_line`."""
-    order, _, *pairs = line.split()
-    return Graph(int(order), tuple(tuple(map(int, pair.split("-"))) for pair in pairs))
-
-
 def _point(n: int) -> list[int]:
     """Fixed odd 61-bit weights for part sizes 0..n (Fibonacci hashing of s)."""
     return [(0x9E3779B97F4A7C15 * (s + 1)) % (1 << 61) | 1 for s in range(n + 1)]
-
-
-def _fingerprint(g: Graph, max_edges: int) -> frozenset:
-    return frozenset(csf_codes(g, max_edges).items())
 
 
 def run_search(n: int, graph_class: str, max_edges: int) -> CollisionReport:
@@ -112,23 +104,22 @@ def run_search(n: int, graph_class: str, max_edges: int) -> CollisionReport:
             f"{graph_class} search at n={n} visits at least {work} candidates, "
             f"above the limit of {SEARCH_WORK_LIMIT}"
         )
-    graphs = enumerate_trees(n) if graph_class == "tree" else enumerate_unicyclic(n)
-    point, count = _point(n), 0
-    buckets: dict[int, list[tuple[int, str]]] = {}
-    for count, g in enumerate(graphs, start=1):
-        buckets.setdefault(hash(csf_value(g, point, max_edges)), []).append((count, _graph_line(g)))
-    groups = []
-    for members in buckets.values():
-        if len(members) >= 2:
-            exact: dict[frozenset, list[tuple[int, str]]] = {}
-            for member in members:
-                exact.setdefault(_fingerprint(_line_graph(member[1]), max_edges), []).append(member)
-            groups += [group for group in exact.values() if len(group) >= 2]
-    groups.sort()  # by first member, in enumeration order
+    graphs = enumerate_trees if graph_class == "tree" else enumerate_unicyclic
+    point = _point(n)
+    hashes = array("q", (hash(csf_value(g, point, max_edges)) for g in graphs(n)))
+    seen, shared = set(), set()
+    for h in hashes:
+        (shared if h in seen else seen).add(h)
+    exact: dict[frozenset, list[str]] = {}
+    if shared:
+        for g, h in zip(graphs(n), hashes):
+            if h in shared:
+                exact.setdefault(frozenset(csf_codes(g, max_edges).items()), []).append(_graph_line(g))
     return CollisionReport(
         n=n,
         graph_class=graph_class,
-        graph_count=count,
-        groups=tuple(tuple(line for _, line in group) for group in groups),
+        graph_count=len(hashes),
+        # a dict keeps insertion order, so groups are listed by first member
+        groups=tuple(tuple(group) for group in exact.values() if len(group) >= 2),
         elapsed_seconds=time.monotonic() - start,
     )

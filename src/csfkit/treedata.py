@@ -21,7 +21,8 @@ from itertools import combinations, islice
 
 from .csf import chromatic_symmetric_function
 from .errors import InconsistentDataError, TwoCentroidError
-from .graph import Graph, _bfs, _check_edge_indices, centroid, is_forest, pi_type, require_tree
+from .graph import (Graph, _bfs, _check_edge_indices, _root_path, centroid, is_forest, pi_type,
+                    require_tree)
 from .partitions import (
     Partition,
     parse_partition_key,
@@ -201,18 +202,9 @@ def attracts(t: Graph, ea: int, eb: int) -> bool:
         parent = [-1] * t.vertex_count
         _bfs(t.adjacency, c, parent)
         x, y = (v if parent[v] == u else u for u, v in (t.edges[ea], t.edges[eb]))
-        if _below(parent, x, y) or _below(parent, y, x):
+        if y in _root_path(parent, x) or x in _root_path(parent, y):
             return True
     return False
-
-
-def _below(parent: list[int], v: int, top: int) -> bool:
-    """True if ``top`` is ``v`` or one of its ancestors (the root is its own parent)."""
-    while v != top:
-        if parent[v] == v:
-            return False
-        v = parent[v]
-    return True
 
 
 def attracts_from_theta(n: int, theta_a: Partition, theta_b: Partition,

@@ -11,7 +11,8 @@ connected unicyclic graphs without touching 2^E subsets.  The DP lets the
 suite check CSF equality on glued pairs far beyond what the subset
 enumerator can reach in test time.  The collision search is redone the
 earlier way: candidates deduplicated by canonical keys, then bucketed by the
-printed polynomial.  Triangle reduce is redone depth first, splitting every
+printed polynomial, and ``line_graph`` reads a printed ``search`` line back
+into its graph.  Triangle reduce is redone depth first, splitting every
 pending graph on its own and merging equal graphs only once triangle-free.
 Edge attraction is decided from its definition, by collecting the edges of
 every path from a centroid to an endpoint of either edge.  ``relabelled``
@@ -392,6 +393,12 @@ def unicyclic_by_edge_addition(n: int):
             if key not in seen:
                 seen.add(key)
                 yield g
+
+
+def line_graph(line: str) -> Graph:
+    """The graph of one printed ``search`` line, "n m u-v u-v ..."."""
+    order, _, *pairs = line.split()
+    return Graph(int(order), tuple(tuple(map(int, pair.split("-"))) for pair in pairs))
 
 
 def text_fingerprint_groups(n: int, graph_class: str) -> list[list[Graph]]:

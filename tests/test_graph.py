@@ -72,6 +72,15 @@ def test_parse_errors_name_the_line():
         parse_graph("banana")
 
 
+@pytest.mark.parametrize("text, line", [
+    ("\u00b3 0\n", 1),  # superscript digits pass str.isdigit but not int()
+    ("2 1\n0 \u00b9\n", 2),
+])
+def test_parse_rejects_non_decimal_digits(text, line):
+    with pytest.raises(GraphParseError, match=f"line {line}:"):
+        parse_graph(text)
+
+
 def test_text_roundtrip():
     for g in (K3, CHROMATIC_TREE7, COLLISION_LEFT6, Graph(4, ())):
         assert parse_graph(g.to_text()) == g

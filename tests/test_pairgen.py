@@ -19,6 +19,7 @@ from fixtures import COLLISION_LEFT6, COLLISION_RIGHT6
 from oracles import (
     all_rooted_trees,
     brute_force_isomorphic,
+    line_graph,
     unicyclic_canonical_key,
     unicyclic_csf,
 )
@@ -176,7 +177,7 @@ def test_glued_pairs_up_to_order_12_share_a_search_group():
         for b in range(1, 7 - a):
             n = 2 * (a + b)
             if n not in groups:
-                groups[n] = [{unicyclic_canonical_key(search._line_graph(line)) for line in group}
+                groups[n] = [{unicyclic_canonical_key(line_graph(line)) for line in group}
                              for group in search.run_search(n, "unicyclic", 30).groups]
                 explained[n] = set()
             for t1 in rooted[a]:

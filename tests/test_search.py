@@ -4,9 +4,12 @@
 (cycles with rooted trees attached) must each produce every class exactly once;
 ``run_search`` must group graphs exactly as the earlier route did: deduplicated
 candidates, bucketed by the printed polynomial (``oracles.text_fingerprint_groups``).
-Its buckets (X_G at a fixed point) only narrow the search; groups rest on the
-exact maps, whatever the point.
+Its hashes (of X_G at a fixed point) only narrow the search; groups rest on the
+exact maps, whatever the point, and a class is enumerated a second time only
+when some hash repeats.
 """
+
+import tracemalloc
 
 import pytest
 
@@ -15,7 +18,7 @@ from csfkit import graph as graph_module
 from csfkit import search
 from csfkit.search import SEARCH_WORK_LIMIT, run_search, search_work
 
-from oracles import prufer_classes, text_fingerprint_groups, unicyclic_canonical_key
+from oracles import line_graph, prufer_classes, text_fingerprint_groups, unicyclic_canonical_key
 
 A000055 = [1, 1, 1, 2, 3, 6, 11, 23, 47, 106, 235, 551]  # free trees, n = 1..12
 
@@ -50,7 +53,7 @@ def test_search_groups_match_the_text_fingerprint_route(graph_class, orders, key
     found = 0
     for n in orders:
         report = run_search(n, graph_class, 30)
-        got = [[search._line_graph(line) for line in group] for group in report.groups]
+        got = [[line_graph(line) for line in group] for group in report.groups]
         want = _key_groups(text_fingerprint_groups(n, graph_class), key)
         assert _key_groups(got, key) == want
         found += len(want)
@@ -74,6 +77,31 @@ def test_groups_do_not_depend_on_the_point(monkeypatch):
         graphs = enumerate_trees(n) if graph_class == "tree" else enumerate_unicyclic(n)
         assert {search.csf_value(g, [1] * (n + 1)) for g in graphs} == {0}
         assert run_search(n, graph_class, 30).groups == groups
+
+
+def test_second_enumeration_only_when_a_hash_repeats(monkeypatch):
+    calls = []
+    for name in ("enumerate_trees", "enumerate_unicyclic"):
+        monkeypatch.setattr(search, name, lambda n, real=getattr(search, name), name=name:
+                            calls.append(name) or real(n))
+    assert run_search(10, "tree", 30).groups == ()
+    assert calls == ["enumerate_trees"]
+    calls.clear()
+    assert len(run_search(8, "unicyclic", 30).groups) == 2
+    assert calls == ["enumerate_unicyclic"] * 2
+
+
+def test_search_keeps_a_few_bytes_per_graph():
+    # a first run fills CPython's per-size tuple free lists (up to 2,000 tuples
+    # each), which tracemalloc counts as live; the second run is the steady cost
+    run_search(14, "tree", 30)
+    tracemalloc.start()
+    try:
+        report = run_search(14, "tree", 30)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak <= 160 * report.graph_count
 
 
 @pytest.mark.parametrize("n, count", [(6, 1), (8, 2), (10, 6), (12, 15)])
