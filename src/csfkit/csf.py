@@ -240,8 +240,9 @@ def csf_codes(g: Graph, max_edges: int = DEFAULT_MAX_EDGES) -> dict[int, int]:
     exactly when their functions are equal, and codes order as their
     partitions do, lexicographically.
     """
-    n = g.vertex_count
-    total = _expansion(g, max_edges, [0] + [(n + 1) ** i for i in range(n)], [1] * (n + 1))
+    n = g.vertex_count  # a part has at most m + 1 vertices, so digits stop there
+    pw = [0] + [(n + 1) ** i for i in range(min(n, g.edge_count + 1))]
+    total = _expansion(g, max_edges, pw, [1] * (n + 1))
     return {code: coeff for code, coeff in total.items() if coeff}
 
 

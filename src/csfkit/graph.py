@@ -168,18 +168,15 @@ def _check_edge_indices(g: Graph, indices) -> None:
 
 def pi_type(g: Graph, edge_indices: Iterable[int]) -> Partition:
     """Type of an edge subset: component orders of (V, S), largest first."""
-    edge_indices = list(edge_indices)
-    _check_edge_indices(g, edge_indices)
+    m = g.edge_count
     adj: list[list[int]] = [[] for _ in range(g.vertex_count)]
-    for i in edge_indices:
+    for i in edge_indices:  # checked as read, so callers may pass any iterable
+        if not 0 <= i < m:
+            raise ValueError(f"edge index {i} out of range 0..{m - 1}")
         u, v = g.edges[i]
         adj[u].append(v)
         adj[v].append(u)
     return tuple(sorted(map(len, _components(adj, [-1] * g.vertex_count)), reverse=True))
-
-
-def is_connected(g: Graph) -> bool:
-    return len(_components(g.adjacency, [-1] * g.vertex_count)) <= 1
 
 
 def is_forest(g: Graph) -> bool:
@@ -187,13 +184,19 @@ def is_forest(g: Graph) -> bool:
     return len(_components(g.adjacency, [-1] * g.vertex_count)) == g.vertex_count - g.edge_count
 
 
-def is_tree(g: Graph) -> bool:
-    return g.vertex_count >= 1 and g.edge_count == g.vertex_count - 1 and is_connected(g)
-
-
-def require_tree(g: Graph, what: str = "operation") -> None:
-    if not is_tree(g):
+def require_tree(g: Graph, what: str = "operation", root: int = 0) -> tuple[list[int], list[int]]:
+    """Breadth-first (order, parent) of the tree g from root, by one ``_bfs``:
+    NotATreeError unless g has n >= 1 vertices, n - 1 edges and the pass
+    reaches them all; for a tree, ValueError if root is outside 0..n-1."""
+    n = g.vertex_count
+    order, parent = [], [-1] * n
+    if n and g.edge_count == n - 1:
+        order = _bfs(g.adjacency, root if 0 <= root < n else 0, parent)
+    if not order or len(order) != n:
         raise NotATreeError(f"{what} requires a tree (connected and acyclic)")
+    if not 0 <= root < n:
+        raise ValueError(f"root {root} out of range 0..{n - 1}")
+    return order, parent
 
 
 # ---------------------------------------------------------------------------
@@ -275,10 +278,14 @@ def structural_report(g: Graph) -> StructuralReport:
 def vertex_weights(t: Graph) -> list[int]:
     """weight(v) = largest component order of T - v (0 for the 1-vertex tree):
     the larger of v's largest child subtree and the rest of T above v."""
-    require_tree(t, "vertex_weights")
-    n = t.vertex_count
-    parent, size, heavy = [-1] * n, [1] * n, [0] * n  # heavy: largest child subtree
-    for v in reversed(_bfs(t.adjacency, 0, parent)[1:]):
+    return _weights(*require_tree(t, "vertex_weights"))
+
+
+def _weights(order: list[int], parent: list[int]) -> list[int]:
+    """``vertex_weights`` from a breadth-first pass over the whole tree."""
+    n = len(order)
+    size, heavy = [1] * n, [0] * n  # heavy: largest child subtree
+    for v in reversed(order[1:]):
         p = parent[v]
         size[p] += size[v]
         heavy[p] = max(heavy[p], size[v])
@@ -287,7 +294,10 @@ def vertex_weights(t: Graph) -> list[int]:
 
 def centroid(t: Graph) -> tuple[int, ...]:
     """Vertices of minimum weight: one vertex, or two adjacent vertices."""
-    weights = vertex_weights(t)
+    return _lightest(vertex_weights(t))
+
+
+def _lightest(weights: list[int]) -> tuple[int, ...]:
     low = min(weights)
     verts = tuple(v for v, w in enumerate(weights) if w == low)
     assert len(verts) in (1, 2)
@@ -338,30 +348,29 @@ def cycle_stats(g: Graph) -> CycleStats:
 
 def rooted_code(t: Graph, root: int) -> str:
     """Canonical nested-parenthesis encoding of a rooted tree."""
-    require_tree(t, "rooted_code")
-    parent = [-1] * t.vertex_count
-    children: list[list[str]] = [[] for _ in range(t.vertex_count)]
-    for v in reversed(_bfs(t.adjacency, root, parent)):  # the root comes last
+    order, parent = require_tree(t, "rooted_code", root)
+    children: list[list[str]] = [[] for _ in order]
+    for v in reversed(order):  # the root comes last
         code = "(" + "".join(sorted(children[v])) + ")"
         children[parent[v]].append(code)
     return code
 
 
-def _tree_centers(t: Graph) -> list[int]:
-    """Middle vertex or vertex pair of a longest path, found by double BFS
-    (a breadth-first order ends at a vertex farthest from its root)."""
-    adj, n = t.adjacency, t.vertex_count
-    end = _bfs(adj, 0, [-1] * n)[-1]
-    parent = [-1] * n
-    path = _root_path(parent, _bfs(adj, end, parent)[-1])
+def _tree_centers(t: Graph, end: int) -> list[int]:
+    """Middle vertex or vertex pair of a longest path.  ``end`` is a vertex
+    farthest from some vertex, so it ends a longest path, and a breadth-first
+    pass from it ends at the path's other end."""
+    parent = [-1] * t.vertex_count
+    path = _root_path(parent, _bfs(t.adjacency, end, parent)[-1])
     d = len(path)
     return sorted(path[(d - 1) // 2:d // 2 + 1])
 
 
 def canonical_tree_code(t: Graph) -> str:
-    """Equal codes exactly for isomorphic trees (center-rooted encoding)."""
-    require_tree(t, "canonical_tree_code")
-    return min(rooted_code(t, c) for c in _tree_centers(t))
+    """Equal codes exactly for isomorphic trees (center-rooted encoding); the
+    checking pass from vertex 0 ends at a vertex farthest from it."""
+    order, _ = require_tree(t, "canonical_tree_code")
+    return min(rooted_code(t, c) for c in _tree_centers(t, order[-1]))
 
 
 def _successor(levels: list[int], p: int) -> None:

@@ -21,9 +21,7 @@ class RootedTree:
     root: int
 
     def __post_init__(self):
-        require_tree(self.tree, "RootedTree")
-        if not 0 <= self.root < self.tree.vertex_count:
-            raise ValueError(f"root {self.root} out of range")
+        require_tree(self.tree, "RootedTree", self.root)
 
 
 @dataclass(frozen=True)

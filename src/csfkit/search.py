@@ -7,15 +7,16 @@ class exactly once, so nothing is deduplicated.  A first pass keeps one
 64-bit hash per graph, of X_G at one fixed point (``csf_value``, every p_s
 replaced by a fixed odd 61-bit weight); equal functions give equal values,
 so only graphs whose hash repeats can share a function.  When some hash
-repeats, a second pass enumerates the class again and groups the graphs at
-repeated positions by their exact maps from part-size codes to coefficients
-(``csf_codes``), which at a fixed order are equal exactly when the functions
-are, so groups never rest on a value or a hash.  A value costs one kernel
-state per component size where a map costs one per size multiset, and a map
-and a printed line are only built for graphs whose hash repeats.  Groups are
-listed by their first member, in enumeration order.  The number of
-candidates the generator would visit is computed first, and a search above
-SEARCH_WORK_LIMIT is refused before any graph is built.
+repeats, a second pass enumerates the class again up to the last repeated
+position and groups the graphs at repeated positions by their exact maps
+from part-size codes to coefficients (``csf_codes``), which at a fixed order
+are equal exactly when the functions are, so groups never rest on a value or
+a hash.  A value costs one kernel state per component size where a map
+costs one per size multiset, and a map and a printed line are only built for
+graphs whose hash repeats.  Groups are listed by their first member, in
+enumeration order.  The number of candidates the generator would visit is
+computed first, and a search above SEARCH_WORK_LIMIT is refused before any
+graph is built.
 """
 
 from __future__ import annotations
@@ -111,8 +112,9 @@ def run_search(n: int, graph_class: str, max_edges: int) -> CollisionReport:
     for h in hashes:
         (shared if h in seen else seen).add(h)
     exact: dict[frozenset, list[str]] = {}
-    if shared:
-        for g, h in zip(graphs(n), hashes):
+    if shared:  # hashes lead the zip, so no graph past the last repeated one is built
+        last = next(i for i in reversed(range(len(hashes))) if hashes[i] in shared)
+        for h, g in zip(hashes[:last + 1], graphs(n)):
             if h in shared:
                 exact.setdefault(frozenset(csf_codes(g, max_edges).items()), []).append(_graph_line(g))
     return CollisionReport(

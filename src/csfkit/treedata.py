@@ -17,12 +17,12 @@ from __future__ import annotations
 
 from dataclasses import dataclass, replace
 from functools import cached_property
-from itertools import combinations, islice
+from itertools import chain, combinations
 
 from .csf import chromatic_symmetric_function
 from .errors import InconsistentDataError, TwoCentroidError
-from .graph import (Graph, _bfs, _check_edge_indices, _root_path, centroid, is_forest, pi_type,
-                    require_tree)
+from .graph import (Graph, _bfs, _check_edge_indices, _lightest, _root_path, _weights, is_forest,
+                    pi_type, require_tree)
 from .partitions import (
     Partition,
     parse_partition_key,
@@ -144,47 +144,33 @@ def theta(t: Graph, edge_indices) -> Partition:
     """Cut image of an edge set: type of the complement edge set."""
     require_tree(t, "theta")
     edge_indices = list(edge_indices)
-    _check_distinct_edges(t, edge_indices)
-    removed = set(edge_indices)
+    _check_edge_indices(t, edge_indices)
+    removed: set[int] = set()
+    for i in edge_indices:
+        if i in removed:
+            raise ValueError(f"edge index {i} repeated")
+        removed.add(i)
     return pi_type(t, [i for i in range(t.edge_count) if i not in removed])
 
 
-def _check_distinct_edges(t: Graph, edge_indices: list[int]) -> None:
-    """ValueError naming the first index out of range, else the first repeated one."""
-    _check_edge_indices(t, edge_indices)
-    seen: set[int] = set()
-    for i in edge_indices:
-        if i in seen:
-            raise ValueError(f"edge index {i} repeated")
-        seen.add(i)
-
-
-def _cut_images(t: Graph, edges):
-    """Cut images of each listed edge, then of each pair of them, in list
-    order, as (positions in ``edges``, image).
-
-    The tree and the edge list are checked once, when iteration starts;
-    each image is then the type of the edges kept, as in ``theta``.
-    """
+def _cut_images(t: Graph) -> tuple[list[Partition], dict[tuple[int, int], Partition]]:
+    """Cut images of every edge, listed by edge index, and of every edge pair,
+    keyed by index pair i < j.  The tree is checked once; each image is then
+    the type of the edges kept, as in ``theta``."""
     require_tree(t, "theta_tables")
-    edges = list(edges)
-    _check_distinct_edges(t, edges)
-    kept = list(range(t.edge_count))
-    for k, i in enumerate(edges):
-        yield (k,), pi_type(t, kept[:i] + kept[i + 1:])
-    for (k, i), (l, j) in combinations(enumerate(edges), 2):
-        a, b = (i, j) if i < j else (j, i)
-        yield (k, l), pi_type(t, kept[:a] + kept[a + 1:b] + kept[b + 1:])
+    kept = range(t.edge_count)
+    singles = [pi_type(t, chain(kept[:i], kept[i + 1:])) for i in kept]
+    pairs = {(i, j): pi_type(t, chain(kept[:i], kept[i + 1:j], kept[j + 1:]))
+             for i, j in combinations(kept, 2)}
+    return singles, pairs
 
 
 def theta_tables(t: Graph) -> ThetaTable:
     """Full singleton and pair cut data, labelled by edge index."""
-    m = t.edge_count
-    labels = tuple(str(i) for i in range(m))
-    images = _cut_images(t, range(m))
-    singles = {labels[k]: img for (k,), img in islice(images, m)}
-    pairs = {(labels[k], labels[l]): img for (k, l), img in images}
-    return ThetaTable(n=t.vertex_count, edge_labels=labels, singletons=singles, pairs=pairs)
+    singles, pairs = _cut_images(t)
+    labels = tuple(str(i) for i in range(t.edge_count))
+    return ThetaTable(n=t.vertex_count, edge_labels=labels, singletons=dict(zip(labels, singles)),
+                      pairs={(labels[i], labels[j]): img for (i, j), img in pairs.items()})
 
 
 # ---------------------------------------------------------------------------
@@ -194,15 +180,15 @@ def theta_tables(t: Graph) -> ThetaTable:
 def attracts(t: Graph, ea: int, eb: int) -> bool:
     """True if some path through both edges ends at a centroid: rooted at
     that centroid, one edge's lower endpoint lies below the other's."""
-    require_tree(t, "attracts")
+    order, parent = require_tree(t, "attracts")
     _check_edge_indices(t, (ea, eb))
     if ea == eb:
         raise ValueError("attraction is defined for distinct edges")
-    for c in centroid(t):
-        parent = [-1] * t.vertex_count
-        _bfs(t.adjacency, c, parent)
-        x, y = (v if parent[v] == u else u for u, v in (t.edges[ea], t.edges[eb]))
-        if y in _root_path(parent, x) or x in _root_path(parent, y):
+    for c in _lightest(_weights(order, parent)):  # the centroid
+        up = [-1] * t.vertex_count
+        _bfs(t.adjacency, c, up)
+        x, y = (v if up[v] == u else u for u, v in (t.edges[ea], t.edges[eb]))
+        if y in _root_path(up, x) or x in _root_path(up, y):
             return True
     return False
 
@@ -294,15 +280,13 @@ def reconstruct_from_theta(tbl: ThetaTable) -> tuple[Graph, dict[str, int]]:
 def _check_realized(tree: Graph, label_to_index: dict[str, int], tbl: ThetaTable) -> None:
     """InconsistentDataError naming the first table entry (singletons only if
     the table has them) that differs from the rebuilt tree's cut image."""
-    labels = tbl.edge_labels
-    for at, got in _cut_images(tree, [label_to_index[lab] for lab in labels]):
-        names = tuple(labels[k] for k in at)
-        if len(names) == 1:
-            if not tbl.singletons:
-                continue
-            entry, img = f"edge {names[0]}", tbl.singletons[names[0]]
-        else:
-            entry, img = f"pair ({names[0]}, {names[1]})", tbl.pairs[names]
+    singles, pairs = _cut_images(tree)
+    rows = [(f"edge {a}", singles[label_to_index[a]], tbl.singletons[a])
+            for a in tbl.edge_labels] if tbl.singletons else []
+    for a, b in combinations(tbl.edge_labels, 2):
+        i, j = sorted((label_to_index[a], label_to_index[b]))
+        rows.append((f"pair ({a}, {b})", pairs[i, j], tbl.pairs[a, b]))
+    for entry, got, img in rows:
         if got != img:
             raise InconsistentDataError(
                 f"no tree realizes this data: {entry} rebuilt with cut {got}, table says {img}"

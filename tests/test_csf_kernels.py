@@ -23,7 +23,7 @@ from csfkit import (
     enumerate_trees,
     specialize,
 )
-from csfkit.csf import csf_value
+from csfkit.csf import csf_codes, csf_value
 from csfkit.graph import _components
 
 from oracles import cycle_vertices_by_stripping, subset_csf, unicyclic_canonical_key
@@ -147,6 +147,19 @@ def test_dense_component_refused_before_any_work():
         tracemalloc.stop()
     assert time.perf_counter() - start < 1.0
     assert peak < 1_000_000
+
+
+def test_codes_of_isolated_vertices_need_one_digit():
+    # a part has at most m + 1 vertices, so the code table stops at size 1
+    g = Graph(5000, ())
+    tracemalloc.start()
+    try:
+        codes = csf_codes(g)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert codes == {5000: 1}  # p_1^5000: digit 0 counts 5,000 parts of size 1
+    assert peak < 4_000_000
 
 
 def test_value_refuses_short_weights_and_keeps_the_limits():

@@ -8,6 +8,8 @@ from csfkit import (
     Graph,
     GraphParseError,
     NotATreeError,
+    RootedTree,
+    attracts,
     canonical_tree_code,
     centroid,
     chromatic_symmetric_function,
@@ -19,7 +21,9 @@ from csfkit import (
     structural_report,
     vertex_weights,
 )
-from csfkit.graph import _components, _tree_centers, cycle_vertices, is_forest, rooted_code
+from csfkit import graph, treedata
+from csfkit.graph import (_components, _tree_centers, cycle_vertices, is_forest, require_tree,
+                          rooted_code)
 
 from fixtures import (
     ATTRACTION_TREE17,
@@ -377,6 +381,46 @@ def test_rooted_code_distinguishes_roots():
     assert rooted_code(path, 0) == rooted_code(path, 2)
 
 
+P4 = Graph(4, ((0, 1), (1, 2), (2, 3)))
+P5 = Graph(5, ((0, 1), (1, 2), (2, 3), (3, 4)))
+
+
+@pytest.mark.parametrize("g, root, error, match", [
+    pytest.param(P4, -1, ValueError, "root -1 out of range 0..3", id="negative"),
+    pytest.param(P4, 4, ValueError, "root 4 out of range 0..3", id="n"),
+    # n - 1 edges, but vertex 3 is out of reach
+    pytest.param(Graph(4, ((0, 1), (0, 2), (1, 2))), 0, NotATreeError,
+                 "rooted_code requires a tree", id="non-tree"),
+])
+def test_rooted_code_checks_its_root(g, root, error, match):
+    with pytest.raises(error, match=match):
+        rooted_code(g, root)
+
+
+@pytest.mark.parametrize("call, passes", [
+    # the check from vertex 0, the longest path from where it ends, one code per centre
+    pytest.param(lambda: canonical_tree_code(P5), 3, id="canonical_tree_code-one-centre"),
+    pytest.param(lambda: canonical_tree_code(P4), 4, id="canonical_tree_code-two-centres"),
+    pytest.param(lambda: rooted_code(P5, 3), 1, id="rooted_code"),
+    pytest.param(lambda: vertex_weights(P5), 1, id="vertex_weights"),
+    # the check, then one pass per centroid (edges 0 and 2 of P4 attract at neither)
+    pytest.param(lambda: attracts(P5, 0, 3), 2, id="attracts-one-centroid"),
+    pytest.param(lambda: attracts(P4, 0, 2), 3, id="attracts-two-centroids"),
+    pytest.param(lambda: RootedTree(P5, 4), 1, id="RootedTree"),
+])
+def test_tree_operations_count_their_traversals(monkeypatch, call, passes):
+    calls, bfs = [], graph._bfs
+
+    def counting(adj, root, parent):
+        calls.append(root)
+        return bfs(adj, root, parent)
+
+    for module in (graph, treedata):
+        monkeypatch.setattr(module, "_bfs", counting)
+    call()
+    assert len(calls) == passes
+
+
 def test_attraction_tree_is_well_formed():
     assert ATTRACTION_TREE17.edge_count == 16
     assert centroid(ATTRACTION_TREE17) == (8,)
@@ -411,7 +455,7 @@ def test_weights_and_centers_match_brute_force_up_to_10():
                 for v in range(n)
             ]
             assert vertex_weights(g) == weights
-            assert _tree_centers(g) == _eccentricity_centers(g)
+            assert _tree_centers(g, require_tree(g)[0][-1]) == _eccentricity_centers(g)
 
 
 def test_pi_type_and_components_match_union_find():
@@ -473,4 +517,4 @@ def test_deep_trees_match_closed_forms(case):
     assert vertex_weights(g) == relabelled
     assert centroid(t) == (middle,)
     assert centroid(g) == (perm[middle],)
-    assert _tree_centers(g) == [perm[middle]]
+    assert _tree_centers(g, require_tree(g)[0][-1]) == [perm[middle]]

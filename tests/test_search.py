@@ -91,6 +91,24 @@ def test_second_enumeration_only_when_a_hash_repeats(monkeypatch):
     assert calls == ["enumerate_unicyclic"] * 2
 
 
+def test_second_enumeration_stops_at_the_last_repeated_hash(monkeypatch):
+    point = search._point(8)
+    hashes = [hash(search.csf_value(g, point, 30)) for g in enumerate_unicyclic(8)]
+    last = max(i for i, h in enumerate(hashes) if hashes.count(h) > 1)
+    drawn = []
+
+    def counting(n):
+        drawn.append(0)
+        for g in enumerate_unicyclic(n):
+            drawn[-1] += 1
+            yield g
+
+    monkeypatch.setattr(search, "enumerate_unicyclic", counting)
+    assert len(run_search(8, "unicyclic", 30).groups) == 2
+    assert drawn == [len(hashes), last + 1]
+    assert last + 1 < len(hashes)
+
+
 def test_search_keeps_a_few_bytes_per_graph():
     # a first run fills CPython's per-size tuple free lists (up to 2,000 tuples
     # each), which tracemalloc counts as live; the second run is the steady cost

@@ -172,6 +172,15 @@ def test_cut_images_check_the_tree_once_per_table(monkeypatch):
         assert len(calls) == 1
 
 
+def test_cut_images_cover_every_edge_and_edge_pair():
+    for t in (Graph(1, ()), STAR4, P5, CUT_TABLE13_TREE):
+        m = t.edge_count
+        singles, pairs = treedata._cut_images(t)
+        assert singles == [theta(t, [i]) for i in range(m)]
+        assert list(pairs) == list(combinations(range(m), 2))
+        assert all(img == theta(t, [i, j]) for (i, j), img in pairs.items())
+
+
 @pytest.mark.parametrize("g", [
     pytest.param(Graph(4, ((0, 1), (1, 2), (2, 3), (0, 3))), id="cycle"),
     pytest.param(Graph(5, ((0, 1), (1, 2), (3, 4))), id="forest"),
