@@ -15,7 +15,7 @@ tree equal the input table, entry by entry.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 from functools import cached_property
 from itertools import chain, combinations
 
@@ -231,11 +231,6 @@ def attracts_from_theta(n: int, theta_a: Partition, theta_b: Partition,
 # Reconstruction
 
 
-def _sorted_labels(tbl: ThetaTable) -> list[str]:
-    """Most balanced cut first; ties broken by label position."""
-    return sorted(tbl.edge_labels, key=lambda lab: (-tbl.singletons[lab][1], tbl._position[lab]))
-
-
 def reconstruct_from_theta(tbl: ThetaTable) -> tuple[Graph, dict[str, int]]:
     """Rebuild the single-centroid tree matching full singleton + pair data.
 
@@ -243,20 +238,27 @@ def reconstruct_from_theta(tbl: ThetaTable) -> tuple[Graph, dict[str, int]]:
     assignment; the reconstruction is verified against the input table
     entry for entry before returning.
     """
-    n = tbl.n
     if tbl.m > 0 and not tbl.singletons:
         raise ValueError("reconstruct_from_theta needs singleton images; "
                          "use reconstruct_from_pairs for pairs-only data")
+    return _rebuild(tbl, tbl.singletons)
+
+
+def _rebuild(tbl: ThetaTable, singles: dict[str, Partition]) -> tuple[Graph, dict[str, int]]:
+    """Grow the tree from the singleton images ``singles`` and the table's
+    pair images, then check it realizes both."""
+    n = tbl.n
     if tbl.m != n - 1:
         raise InconsistentDataError(f"{tbl.m} edges cannot make a tree on {n} vertices")
-    for label, img in tbl.singletons.items():
+    for label, img in singles.items():
         if n % 2 == 0 and img == (n // 2, n // 2):
             raise TwoCentroidError(
                 f"edge {label} splits the tree in half: the tree has two centroids, "
                 "which this data cannot distinguish"
             )
 
-    order = _sorted_labels(tbl)
+    # most balanced cut first; ties broken by label position
+    order = sorted(tbl.edge_labels, key=lambda lab: (-singles[lab][1], tbl._position[lab]))
     edges: list[tuple[int, int]] = []  # edge k runs from its parent to vertex k + 1
     for index, label in enumerate(order):
         # Cuts shrink down every root path and bigger cuts are placed first,
@@ -265,7 +267,7 @@ def reconstruct_from_theta(tbl: ThetaTable) -> tuple[Graph, dict[str, int]]:
         for k, placed in enumerate(order[:index]):
             key = tbl.pair_key(placed, label)
             try:
-                if attracts_from_theta(n, tbl.singletons[placed], tbl.singletons[label], tbl.pairs[key]):
+                if attracts_from_theta(n, singles[placed], singles[label], tbl.pairs[key]):
                     at = k + 1
             except InconsistentDataError as exc:
                 raise InconsistentDataError(f"pair {key}: {exc}") from None
@@ -273,16 +275,17 @@ def reconstruct_from_theta(tbl: ThetaTable) -> tuple[Graph, dict[str, int]]:
 
     tree = Graph(n, tuple(edges))
     label_to_index = {label: i for i, label in enumerate(order)}
-    _check_realized(tree, label_to_index, tbl)
+    _check_realized(tree, label_to_index, tbl, singles)
     return tree, label_to_index
 
 
-def _check_realized(tree: Graph, label_to_index: dict[str, int], tbl: ThetaTable) -> None:
-    """InconsistentDataError naming the first table entry (singletons only if
-    the table has them) that differs from the rebuilt tree's cut image."""
-    singles, pairs = _cut_images(tree)
-    rows = [(f"edge {a}", singles[label_to_index[a]], tbl.singletons[a])
-            for a in tbl.edge_labels] if tbl.singletons else []
+def _check_realized(tree: Graph, label_to_index: dict[str, int], tbl: ThetaTable,
+                    singles: dict[str, Partition]) -> None:
+    """InconsistentDataError naming the first entry, singleton images
+    ``singles`` first and then the table's pairs, that differs from the
+    rebuilt tree's cut image."""
+    got_singles, pairs = _cut_images(tree)
+    rows = [(f"edge {a}", got_singles[label_to_index[a]], singles[a]) for a in tbl.edge_labels]
     for a, b in combinations(tbl.edge_labels, 2):
         i, j = sorted((label_to_index[a], label_to_index[b]))
         rows.append((f"pair ({a}, {b})", pairs[i, j], tbl.pairs[a, b]))
@@ -311,13 +314,17 @@ def leaf_edges_from_pairs(tbl: ThetaTable) -> set[str]:
 
 
 def singletons_from_pairs(tbl: ThetaTable) -> dict[str, Partition]:
-    """Recover singleton images from pair images (single-centroid trees, n > 4).
+    """Recover singleton images from pair images (single-centroid trees).
 
-    Leaf edges cut off one vertex.  For any other edge, its pair images with
-    the leaf edges realize both ways a leaf can sit relative to it, and the
-    largest part occurring among them is the big side of its own cut.
+    A single-centroid tree on at most four vertices is a star, so every edge
+    cuts off one vertex.  Above that, leaf edges cut off one vertex; for any
+    other edge, its pair images with the leaf edges realize both ways a leaf
+    can sit relative to it, and the largest part occurring among them is the
+    big side of its own cut.
     """
     n = tbl.n
+    if n <= 4:
+        return {label: (n - 1, 1) for label in tbl.edge_labels}
     leaves = leaf_edges_from_pairs(tbl)
     if not leaves:
         raise InconsistentDataError("no leaf edges detectable; data is unrealizable")
@@ -331,33 +338,15 @@ def singletons_from_pairs(tbl: ThetaTable) -> dict[str, Partition]:
     return singles
 
 
-_SMALL_SINGLE_CENTROID = {
-    1: (),
-    3: ((0, 1), (0, 2)),
-    4: ((0, 1), (0, 2), (0, 3)),
-}
-
-
 def reconstruct_from_pairs(tbl: ThetaTable) -> tuple[Graph, dict[str, int]]:
     """Rebuild a single-centroid tree from pair images alone.
 
-    For n <= 4 there is at most one single-centroid tree per order, so small
-    instances are answered by lookup (n = 2 has none: both vertices of the
-    one edge are centroids).  Larger instances recover the singleton images
-    first and then run the full reconstruction.  Singleton images in ``tbl``
-    are ignored.
+    Recovers the singleton images from the pairs, then runs the full
+    reconstruction on them.  Singleton images in ``tbl`` are ignored.
     """
-    n = tbl.n
-    if tbl.m != n - 1:
-        raise InconsistentDataError(f"{tbl.m} edges cannot make a tree on {n} vertices")
-    if n == 2:
-        raise TwoCentroidError("the only tree on 2 vertices has two centroids")
-    if n <= 4:
-        tree = Graph(n, _SMALL_SINGLE_CENTROID[n])
-        label_to_index = {lab: i for i, lab in enumerate(tbl.edge_labels)}
-        _check_realized(tree, label_to_index, replace(tbl, singletons={}))
-        return tree, label_to_index
-    return reconstruct_from_theta(replace(tbl, singletons=singletons_from_pairs(tbl)))
+    if tbl.m != tbl.n - 1:
+        raise InconsistentDataError(f"{tbl.m} edges cannot make a tree on {tbl.n} vertices")
+    return _rebuild(tbl, singletons_from_pairs(tbl))
 
 
 # ---------------------------------------------------------------------------

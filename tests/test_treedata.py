@@ -476,20 +476,69 @@ def test_reconstruct_from_pairs_worked_instance():
         assert theta(tree, [assignment[a], assignment[b]]) == img
 
 
-def test_reconstruct_from_pairs_small_lookup():
-    star = Graph(5, ((0, 1), (0, 2), (0, 3), (0, 4)))
-    tbl = theta_tables(STAR4)
-    pairs_only = ThetaTable(n=4, edge_labels=tbl.edge_labels, singletons={},
-                            pairs=dict(tbl.pairs))
-    tree, _ = reconstruct_from_pairs(pairs_only)
-    assert canonical_tree_code(tree) == canonical_tree_code(STAR4)
-    del star
+def test_reconstruct_from_pairs_small_orders_are_stars():
+    # a single-centroid tree on at most four vertices is a star; P4's pair
+    # images equal the star's, so its pairs rebuild the star too
+    p4 = Graph(4, ((0, 1), (1, 2), (2, 3)))
+    for t, star in ((Graph(1, ()), Graph(1, ())), (P3, P3), (STAR4, STAR4), (p4, STAR4)):
+        pairs_only = replace(theta_tables(t), singletons={})
+        assert singletons_from_pairs(pairs_only) == {
+            lab: (t.vertex_count - 1, 1) for lab in pairs_only.edge_labels}
+        tree, assignment = reconstruct_from_pairs(pairs_only)
+        assert canonical_tree_code(tree) == canonical_tree_code(star)
+        assert sorted(assignment.values()) == list(range(t.edge_count))
 
 
 def test_reconstruct_from_pairs_two_vertices_impossible():
     tbl = ThetaTable(n=2, edge_labels=("a",), singletons={}, pairs={})
-    with pytest.raises(TwoCentroidError):
+    with pytest.raises(TwoCentroidError, match="edge a splits the tree in half"):
         reconstruct_from_pairs(tbl)
+
+
+@pytest.mark.parametrize("n", range(1, 10))
+def test_both_routes_run_one_reconstruction(n):
+    # pairs-only data runs the full route on its recovered singleton images,
+    # so both routes agree on the tree and the label assignment
+    rng = random.Random(1500 + n)
+    for t in enumerate_trees(n):
+        g = relabelled(rng, n, t.edges)
+        tbl = theta_tables(g)
+        pairs_only = replace(tbl, singletons={})
+        if len(centroid(g)) == 2:
+            with pytest.raises(TwoCentroidError):
+                reconstruct_from_theta(tbl)
+            if n != 4:  # P4's pair images are the star's (above)
+                with pytest.raises(TwoCentroidError):
+                    reconstruct_from_pairs(pairs_only)
+            continue
+        tree, assignment = reconstruct_from_theta(tbl)
+        assert reconstruct_from_pairs(pairs_only) == (tree, assignment)
+        assert canonical_tree_code(tree) == canonical_tree_code(g)
+
+
+def test_reconstruct_from_pairs_builds_no_second_table(monkeypatch):
+    tables = [replace(theta_tables(t), singletons={}) for t in (STAR4, CUT_TABLE13_TREE)]
+    built = []
+    original = ThetaTable.__post_init__
+
+    def counting(self):
+        built.append(self.n)
+        original(self)
+
+    monkeypatch.setattr(ThetaTable, "__post_init__", counting)
+    for tbl in tables:
+        reconstruct_from_pairs(tbl)
+    assert built == []
+
+
+def test_reconstruct_checks_every_singleton_entry():
+    # edge 0 claims a 3|2 cut in a star; every pair image still matches the
+    # rebuilt tree, which hangs the other leaves below edge 0
+    tbl = theta_tables(Graph(5, ((0, 1), (0, 2), (0, 3), (0, 4))))
+    bad = replace(tbl, singletons={**tbl.singletons, "0": (3, 2)})
+    with pytest.raises(InconsistentDataError,
+                       match=r"edge 0 rebuilt with cut \(4, 1\), table says \(3, 2\)"):
+        reconstruct_from_theta(bad)
 
 
 # ---------------------------------------------------------------------------
