@@ -24,7 +24,7 @@ from dataclasses import dataclass
 from math import comb
 
 from .errors import ResourceLimitError
-from .graph import Graph, _components, _root_path, _skipped_edge
+from .graph import Graph, _components, _root_path, _skipped_edge, is_forest
 from .partitions import Partition, parse_partition_key, partition_key
 
 DEFAULT_MAX_EDGES = 30
@@ -277,6 +277,18 @@ def _partition(code: int, n: int) -> Partition:
 def chromatic_symmetric_function(g: Graph, max_edges: int = DEFAULT_MAX_EDGES) -> PowerSumPolynomial:
     """Exact power-sum expansion of X_G, one structured kernel per component."""
     return PowerSumPolynomial.from_codes(g.vertex_count, csf_codes(g, max_edges))
+
+
+def forest_type_counts(f: Graph) -> dict[Partition, int]:
+    """For each partition, the number of edge subsets of that type.
+
+    Forests only: there every subset of a given type has the same size, so
+    these counts are the absolute values of X_F's coefficients.
+    """
+    if not is_forest(f):
+        raise ValueError("forest_type_counts requires a forest")
+    x = chromatic_symmetric_function(f, max_edges=f.edge_count)
+    return {p: abs(coeff) for p, coeff in x.terms.items()}
 
 
 def csf_difference(g: Graph, h: Graph, max_edges: int = DEFAULT_MAX_EDGES):

@@ -28,19 +28,6 @@ def is_partition(parts: tuple) -> bool:
     )
 
 
-def compare_balanced(a: Partition, b: Partition) -> int:
-    """Order two 2-part partitions of the same n by their smaller part.
-
-    Returns -1, 0 or 1.  (n-i, i) ranks above (n-j, j) exactly when i > j,
-    so among the edge cuts of a tree the more balanced split is the greater.
-    """
-    if len(a) != 2 or len(b) != 2:
-        raise ValueError(f"only 2-part partitions are comparable: {a} vs {b}")
-    if sum(a) != sum(b):
-        raise ValueError(f"cannot compare partitions of different degree: {a} vs {b}")
-    return (a[1] > b[1]) - (a[1] < b[1])
-
-
 def partition_key(p: Partition) -> str:
     """Comma-joined parts, e.g. (4,3,2,1,1) -> "4,3,2,1,1"; () -> ""."""
     return ",".join(map(str, p))

@@ -19,10 +19,8 @@ from dataclasses import dataclass
 from functools import cached_property
 from itertools import chain, combinations
 
-from .csf import chromatic_symmetric_function
 from .errors import InconsistentDataError, TwoCentroidError
-from .graph import (Graph, _bfs, _check_edge_indices, _lightest, _root_path, _weights, is_forest,
-                    pi_type, require_tree)
+from .graph import Graph, _check_edge_indices, pi_type, require_tree
 from .partitions import (
     Partition,
     parse_partition_key,
@@ -51,8 +49,8 @@ class ThetaTable:
         if self.singletons and set(self.singletons) != set(labels):
             raise ValueError("singleton images must cover all labels or none")
         for label, img in self.singletons.items():
-            if len(img) != 2 or sum(img) != self.n:
-                raise ValueError(f"singleton image of {label} must have 2 parts summing to {self.n}")
+            if len(img) != 2 or sum(img) != self.n or not img[0] >= img[1] >= 1:
+                raise ValueError(f"singleton image of {label} must be a 2-part partition of {self.n}")
         # Dict keys are distinct, so the right count of keys that are each two
         # known labels in label order covers every pair exactly once.
         m = len(labels)
@@ -64,8 +62,8 @@ class ThetaTable:
         ):
             raise ValueError("pair images must cover every unordered label pair exactly")
         for pair, img in self.pairs.items():
-            if len(img) != 3 or sum(img) != self.n:
-                raise ValueError(f"pair image of {pair} must have 3 parts summing to {self.n}")
+            if len(img) != 3 or sum(img) != self.n or not img[0] >= img[1] >= img[2] >= 1:
+                raise ValueError(f"pair image of {pair} must be a 3-part partition of {self.n}")
 
     @property
     def m(self) -> int:
@@ -177,22 +175,6 @@ def theta_tables(t: Graph) -> ThetaTable:
 # Attraction
 
 
-def attracts(t: Graph, ea: int, eb: int) -> bool:
-    """True if some path through both edges ends at a centroid: rooted at
-    that centroid, one edge's lower endpoint lies below the other's."""
-    order, parent = require_tree(t, "attracts")
-    _check_edge_indices(t, (ea, eb))
-    if ea == eb:
-        raise ValueError("attraction is defined for distinct edges")
-    for c in _lightest(_weights(order, parent)):  # the centroid
-        up = [-1] * t.vertex_count
-        _bfs(t.adjacency, c, up)
-        x, y = (v if up[v] == u else u for u, v in (t.edges[ea], t.edges[eb]))
-        if y in _root_path(up, x) or x in _root_path(up, y):
-            return True
-    return False
-
-
 def attracts_from_theta(n: int, theta_a: Partition, theta_b: Partition,
                         theta_ab: Partition) -> bool:
     """Decide attraction from cut data alone.
@@ -296,36 +278,23 @@ def _check_realized(tree: Graph, label_to_index: dict[str, int], tbl: ThetaTable
             )
 
 
-def leaf_edges_from_pairs(tbl: ThetaTable) -> set[str]:
-    """Labels whose pair images hit (n-2, 1, 1) at least twice: the leaf edges."""
-    n = tbl.n
-    if n <= 4:
-        raise ValueError("leaf detection from pairs needs n > 4")
-    cut = (n - 2, 1, 1)
-    leaves = set()
-    for label in tbl.edge_labels:
-        partners = sum(
-            1 for other in tbl.edge_labels
-            if other != label and tbl.pair(label, other) == cut
-        )
-        if partners >= 2:
-            leaves.add(label)
-    return leaves
-
-
 def singletons_from_pairs(tbl: ThetaTable) -> dict[str, Partition]:
     """Recover singleton images from pair images (single-centroid trees).
 
     A single-centroid tree on at most four vertices is a star, so every edge
-    cuts off one vertex.  Above that, leaf edges cut off one vertex; for any
-    other edge, its pair images with the leaf edges realize both ways a leaf
-    can sit relative to it, and the largest part occurring among them is the
-    big side of its own cut.
+    cuts off one vertex.  Above that, the leaf edges are those whose pair
+    images hit (n-2, 1, 1) at least twice, and they cut off one vertex; for
+    any other edge, its pair images with the leaf edges realize both ways a
+    leaf can sit relative to it, and the largest part occurring among them is
+    the big side of its own cut.
     """
     n = tbl.n
     if n <= 4:
         return {label: (n - 1, 1) for label in tbl.edge_labels}
-    leaves = leaf_edges_from_pairs(tbl)
+    cut = (n - 2, 1, 1)
+    leaves = {label for label in tbl.edge_labels
+              if sum(1 for other in tbl.edge_labels
+                     if other != label and tbl.pair(label, other) == cut) >= 2}
     if not leaves:
         raise InconsistentDataError("no leaf edges detectable; data is unrealizable")
     singles: dict[str, Partition] = {}
@@ -347,19 +316,3 @@ def reconstruct_from_pairs(tbl: ThetaTable) -> tuple[Graph, dict[str, int]]:
     if tbl.m != tbl.n - 1:
         raise InconsistentDataError(f"{tbl.m} edges cannot make a tree on {tbl.n} vertices")
     return _rebuild(tbl, singletons_from_pairs(tbl))
-
-
-# ---------------------------------------------------------------------------
-# Forest subset-type counting
-
-
-def forest_type_counts(f: Graph) -> dict[Partition, int]:
-    """For each partition, the number of edge subsets of that type.
-
-    Forests only: there every subset of a given type has the same size, so
-    these counts are the absolute values of X_F's coefficients.
-    """
-    if not is_forest(f):
-        raise ValueError("forest_type_counts requires a forest")
-    x = chromatic_symmetric_function(f, max_edges=f.edge_count)
-    return {p: abs(coeff) for p, coeff in x.terms.items()}

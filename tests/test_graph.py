@@ -9,7 +9,6 @@ from csfkit import (
     GraphParseError,
     NotATreeError,
     RootedTree,
-    attracts,
     canonical_tree_code,
     centroid,
     chromatic_symmetric_function,
@@ -21,7 +20,7 @@ from csfkit import (
     structural_report,
     vertex_weights,
 )
-from csfkit import graph, treedata
+from csfkit import graph
 from csfkit.graph import (_components, _tree_centers, cycle_vertices, is_forest, require_tree,
                           rooted_code)
 
@@ -403,9 +402,6 @@ def test_rooted_code_checks_its_root(g, root, error, match):
     pytest.param(lambda: canonical_tree_code(P4), 4, id="canonical_tree_code-two-centres"),
     pytest.param(lambda: rooted_code(P5, 3), 1, id="rooted_code"),
     pytest.param(lambda: vertex_weights(P5), 1, id="vertex_weights"),
-    # the check, then one pass per centroid (edges 0 and 2 of P4 attract at neither)
-    pytest.param(lambda: attracts(P5, 0, 3), 2, id="attracts-one-centroid"),
-    pytest.param(lambda: attracts(P4, 0, 2), 3, id="attracts-two-centroids"),
     pytest.param(lambda: RootedTree(P5, 4), 1, id="RootedTree"),
 ])
 def test_tree_operations_count_their_traversals(monkeypatch, call, passes):
@@ -415,8 +411,7 @@ def test_tree_operations_count_their_traversals(monkeypatch, call, passes):
         calls.append(root)
         return bfs(adj, root, parent)
 
-    for module in (graph, treedata):
-        monkeypatch.setattr(module, "_bfs", counting)
+    monkeypatch.setattr(graph, "_bfs", counting)
     call()
     assert len(calls) == passes
 

@@ -1,6 +1,6 @@
 import pytest
 
-from csfkit import compare_balanced, parse_partition_key, partition_key, rearrange
+from csfkit import parse_partition_key, partition_key, rearrange
 
 
 def test_rearrange_sorts_descending():
@@ -24,29 +24,6 @@ def test_rearrange_idempotent_and_permutation_invariant():
     assert rearrange(base) == base
     for perm in itertools.permutations(values):
         assert rearrange(perm) == base
-
-
-def test_compare_balanced_examples():
-    assert compare_balanced((7, 6), (12, 1)) == 1
-    assert compare_balanced((10, 3), (10, 3)) == 0
-    assert compare_balanced((11, 2), (12, 1)) == 1
-    assert compare_balanced((12, 1), (11, 2)) == -1
-
-
-def test_compare_balanced_rejects_bad_shapes():
-    with pytest.raises(ValueError):
-        compare_balanced((3, 2, 1), (4, 2))
-    with pytest.raises(ValueError):
-        compare_balanced((4, 2), (5, 2))
-
-
-def test_compare_balanced_total_order():
-    n = 14
-    splits = [(n - i, i) for i in range(1, n // 2 + 1)]
-    for a in range(len(splits)):
-        for b in range(len(splits)):
-            expected = (a > b) - (a < b)
-            assert compare_balanced(splits[a], splits[b]) == expected
 
 
 def test_partition_key_rendering():

@@ -1,7 +1,9 @@
+import ast
 import random
 import tracemalloc
 from dataclasses import replace
 from itertools import combinations
+from pathlib import Path
 
 import pytest
 
@@ -11,16 +13,13 @@ from csfkit import (
     NotATreeError,
     ThetaTable,
     TwoCentroidError,
-    attracts,
     attracts_from_theta,
     canonical_tree_code,
     centroid,
     chromatic_symmetric_function,
-    compare_balanced,
     csf_equal,
     enumerate_trees,
     forest_type_counts,
-    leaf_edges_from_pairs,
     partition_key,
     path_split,
     pi_type,
@@ -110,9 +109,6 @@ def test_theta_rejects_non_tree():
     pytest.param(theta, ([0, 4],), 4, id="theta-m"),
     pytest.param(theta, ([1, 1],), 1, id="theta-repeated"),
     pytest.param(theta, ([2, 0, 2],), 2, id="theta-repeated-apart"),
-    pytest.param(attracts, (-1, 0), -1, id="attracts-minus-1"),
-    pytest.param(attracts, (99, 0), 99, id="attracts-99"),
-    pytest.param(attracts, (0, 4), 4, id="attracts-m"),
     pytest.param(pi_type, ([-1],), -1, id="pi_type-minus-1"),
     pytest.param(pi_type, ([0, 4],), 4, id="pi_type-m"),
     pytest.param(Graph.with_edges_removed, ([-1],), -1, id="with_edges_removed-minus-1"),
@@ -214,8 +210,8 @@ def test_attraction_fixture_edges():
     for i in range(t.edge_count):
         if i == e:
             continue
-        assert attracts(t, i, e) == (i in pull)
-        assert attracts(t, e, i) == (i in pull)  # symmetric
+        assert attracts_by_paths(t, i, e) == (i in pull)
+        assert attracts_by_paths(t, e, i) == (i in pull)  # symmetric
 
 
 def test_two_centroid_bridge_attracts_everything():
@@ -225,22 +221,12 @@ def test_two_centroid_bridge_attracts_everything():
     bridge = t.index_of(*cents)
     for i in range(t.edge_count):
         if i != bridge:
-            assert attracts(t, bridge, i)
-
-
-def test_attracts_equals_path_definition_up_to_10():
-    # every ordered pair of distinct edges, two-centroid trees included
-    for n in range(2, 11):
-        for t in enumerate_trees(n):
-            for i in range(t.edge_count):
-                for k in range(t.edge_count):
-                    if i != k:
-                        assert attracts(t, i, k) == attracts_by_paths(t, i, k), (t, i, k)
+            assert attracts_by_paths(t, bridge, i)
 
 
 def test_star_leaf_edges_repel():
-    assert not attracts(STAR4, 0, 1)
-    assert not attracts(STAR4, 1, 2)
+    assert not attracts_by_paths(STAR4, 0, 1)
+    assert not attracts_by_paths(STAR4, 1, 2)
 
 
 def test_attracts_from_theta_worked_values():
@@ -273,7 +259,7 @@ def test_attraction_criterion_equals_definition_up_to_10():
             tbl = theta_tables(t)
             labs = tbl.edge_labels
             for i, k in combinations(range(t.edge_count), 2):
-                expected = attracts(t, i, k)
+                expected = attracts_by_paths(t, i, k)
                 got = attracts_from_theta(
                     n, tbl.singletons[labs[i]], tbl.singletons[labs[k]],
                     tbl.pairs[(labs[i], labs[k])],
@@ -306,7 +292,7 @@ def test_equal_singleton_images_repel():
             labs = tbl.edge_labels
             for i, k in combinations(range(t.edge_count), 2):
                 if tbl.singletons[labs[i]] == tbl.singletons[labs[k]]:
-                    assert not attracts(t, i, k)
+                    assert not attracts_by_paths(t, i, k)
 
 
 def test_separating_edge_has_greater_image():
@@ -326,7 +312,7 @@ def test_separating_edge_has_greater_image():
                         continue
                     u, v = t.edges[eb]
                     if u in far and v in far:
-                        assert compare_balanced(theta(t, [ea]), theta(t, [eb])) == 1
+                        assert theta(t, [ea])[1] > theta(t, [eb])[1]
 
 
 def _sides(t: Graph, edge_index: int):
@@ -443,21 +429,21 @@ def test_roundtrip_independent_of_tiebreak_order():
             assert canonical_tree_code(a) == canonical_tree_code(b)
 
 
+def leaf_edges(tbl: ThetaTable) -> set[str]:
+    """Labels whose recovered singleton image cuts off one vertex."""
+    n = tbl.n
+    return {lab for lab, img in singletons_from_pairs(tbl).items() if img == (n - 1, 1)}
+
+
 def test_leaf_edges_from_worked_table():
-    assert leaf_edges_from_pairs(cut_table13(pairs_only=True)) == CUT_TABLE13_LEAVES
+    assert leaf_edges(cut_table13(pairs_only=True)) == CUT_TABLE13_LEAVES
 
 
 def test_leaf_edges_path_and_star():
     path6 = Graph(6, ((0, 1), (1, 2), (2, 3), (3, 4), (4, 5)))
-    tbl = theta_tables(path6)
-    assert leaf_edges_from_pairs(tbl) == {"0", "4"}
+    assert leaf_edges(replace(theta_tables(path6), singletons={})) == {"0", "4"}
     star6 = Graph(6, ((0, 1), (0, 2), (0, 3), (0, 4), (0, 5)))
-    assert leaf_edges_from_pairs(theta_tables(star6)) == {"0", "1", "2", "3", "4"}
-
-
-def test_leaf_edges_rejects_small_instances():
-    with pytest.raises(ValueError):
-        leaf_edges_from_pairs(theta_tables(STAR4))
+    assert leaf_edges(replace(theta_tables(star6), singletons={})) == {"0", "1", "2", "3", "4"}
 
 
 def test_singletons_from_worked_table():
@@ -670,6 +656,27 @@ def test_theta_table_validation():
             ThetaTable(n=4, edge_labels=("a", "b", "c"), singletons={}, pairs=pairs)
 
 
+@pytest.mark.parametrize("singletons, pairs", [
+    pytest.param({}, {("a", "b"): (2, 1, 1), ("a", "c"): (2, 1, 1), ("b", "c"): (1, 2, 1)},
+                 id="pair-increasing"),
+    pytest.param({}, {("a", "b"): (2, 1, 1), ("a", "c"): (2, 1, 1), ("b", "c"): (2, 2, 0)},
+                 id="pair-zero-part"),
+    pytest.param({"a": (1, 3), "b": (3, 1), "c": (3, 1)}, dict.fromkeys(
+        (("a", "b"), ("a", "c"), ("b", "c")), (2, 1, 1)), id="singleton-increasing"),
+    pytest.param({"a": (4, 0), "b": (3, 1), "c": (3, 1)}, dict.fromkeys(
+        (("a", "b"), ("a", "c"), ("b", "c")), (2, 1, 1)), id="singleton-zero-part"),
+])
+def test_theta_table_images_must_be_partitions(singletons, pairs):
+    # a table built directly refuses the images its text form refuses
+    text = "\n".join(["theta n=4 m=3",
+                      *(f"{lab} {partition_key(img)}" for lab, img in singletons.items()),
+                      *(f"{a} {b} {partition_key(img)}" for (a, b), img in pairs.items())])
+    with pytest.raises(ValueError, match="not weakly decreasing positive"):
+        ThetaTable.from_text(text)
+    with pytest.raises(ValueError, match="-part partition of 4"):
+        ThetaTable(n=4, edge_labels=("a", "b", "c"), singletons=singletons, pairs=pairs)
+
+
 def test_theta_table_validation_memory_stays_linear():
     # the 301-vertex star: 300 leaf edges, 44,850 pair images
     n = 301
@@ -748,3 +755,37 @@ def test_corrupted_tables_fail_typed_or_rebuild_a_realizing_tree():
                     outcomes["rebuilt"] += 1
     assert sum(outcomes.values()) == 9 * 6 * 2 * 15
     assert min(outcomes.values()) > 50
+
+
+# ---------------------------------------------------------------------------
+# Layering
+
+
+def csfkit_imports(path: Path) -> set[str]:
+    """The csfkit modules a source file imports, at any depth of its code."""
+    found = set()
+    for node in ast.walk(ast.parse(path.read_text())):
+        if isinstance(node, ast.Import):
+            names = [alias.name for alias in node.names]
+        elif isinstance(node, ast.ImportFrom):
+            package = "csfkit" if node.level == 1 else ""
+            module = ".".join(filter(None, (package, node.module)))
+            names = [f"{module}.{alias.name}" for alias in node.names]
+        else:
+            continue
+        found |= {name.split(".")[1] for name in names if name.startswith("csfkit.")}
+    return found
+
+
+def test_cut_data_layer_does_not_reach_the_csf_kernel():
+    # the classification from cut data never computes X_T: treedata imports
+    # neither csf nor any module that does
+    imports = {path.stem: csfkit_imports(path)
+               for path in Path(treedata.__file__).parent.glob("*.py")}
+    assert imports["treedata"] == {"errors", "graph", "partitions"}
+    reached, todo = set(), ["treedata"]
+    while todo:
+        for module in imports[todo.pop()] - reached:
+            reached.add(module)
+            todo.append(module)
+    assert "csf" not in reached
