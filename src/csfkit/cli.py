@@ -18,7 +18,7 @@ import os
 import sys
 
 from .csf import (DEFAULT_MAX_EDGES, PowerSumPolynomial, chromatic_symmetric_function, csf_codes,
-                  csf_difference, csf_value)
+                  csf_value, first_difference)
 from .errors import CsfkitError, ResourceLimitError
 from .graph import Graph, parse_graph
 from .pairgen import RootedTree, glue_rooted_trees
@@ -65,8 +65,9 @@ def cmd_csf(args) -> int:
 
 
 def cmd_equal(args) -> int:
-    diff = csf_difference(_load_graph(args.file_a), _load_graph(args.file_b),
-                          max_edges=_enumeration_cap())
+    g, h, cap = _load_graph(args.file_a), _load_graph(args.file_b), _enumeration_cap()
+    diff = first_difference(chromatic_symmetric_function(g, max_edges=cap),
+                            chromatic_symmetric_function(h, max_edges=cap))
     if diff is None:
         print("EQUAL")
         return 0

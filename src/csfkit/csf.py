@@ -283,27 +283,12 @@ def forest_type_counts(f: Graph) -> dict[Partition, int]:
     """For each partition, the number of edge subsets of that type.
 
     Forests only: there every subset of a given type has the same size, so
-    these counts are the absolute values of X_F's coefficients.
+    these counts are X_F's coefficients in absolute value, under the default cap.
     """
     if not is_forest(f):
         raise ValueError("forest_type_counts requires a forest")
-    x = chromatic_symmetric_function(f, max_edges=f.edge_count)
+    x = chromatic_symmetric_function(f)
     return {p: abs(coeff) for p, coeff in x.terms.items()}
-
-
-def csf_difference(g: Graph, h: Graph, max_edges: int = DEFAULT_MAX_EDGES):
-    """``first_difference`` of X_g and X_h, decoding only the partition it names."""
-    a, b = csf_codes(g, max_edges), csf_codes(h, max_edges)
-    n = g.vertex_count
-    if n != h.vertex_count:
-        return first_difference(PowerSumPolynomial.from_codes(n, a),
-                                PowerSumPolynomial.from_codes(h.vertex_count, b))
-    # codes order as their partitions do, so the largest differing code is the first
-    differ = [code for code in a.keys() | b.keys() if a.get(code, 0) != b.get(code, 0)]
-    if not differ:
-        return None
-    code = max(differ)
-    return _partition(code, n), a.get(code, 0), b.get(code, 0)
 
 
 def specialize(x: PowerSumPolynomial, k: int) -> int:
@@ -406,9 +391,9 @@ def first_difference(a: PowerSumPolynomial, b: PowerSumPolynomial) -> tuple[Part
     differ; if every coefficient agrees it is "degree" and the values are the
     degrees.
     """
-    if csf_equal(a, b):
-        return None
-    for key in sorted(set(a.terms) | set(b.terms), reverse=True):
-        if a.terms.get(key, 0) != b.terms.get(key, 0):
-            return key, a.terms.get(key, 0), b.terms.get(key, 0)
-    return "degree", a.degree, b.degree
+    x, y = a.terms, b.terms
+    differ = [key for key in x.keys() | y.keys() if x.get(key, 0) != y.get(key, 0)]
+    if differ:
+        key = max(differ)
+        return key, x.get(key, 0), y.get(key, 0)
+    return None if a.degree == b.degree else ("degree", a.degree, b.degree)

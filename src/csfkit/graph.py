@@ -486,6 +486,17 @@ def _least_turn(seq: tuple) -> bool:
     return all(seq <= twice[i:i + p] and seq <= back[i:i + p] for i in range(p))
 
 
+def _cycle_orders(n: int) -> Iterator[tuple[tuple[int, ...], list[int]]]:
+    """Each way to split n vertices into p >= 3 consecutive trees, the first
+    a smallest, as (cuts, orders): each later tree's first vertex, and every
+    tree's order."""
+    for p in range(3, n + 1):
+        for cuts in combinations(range(1, n), p - 1):
+            orders = [b - a for a, b in zip((0,) + cuts, cuts + (n,))]
+            if orders[0] == min(orders):
+                yield cuts, orders
+
+
 def enumerate_unicyclic(n: int) -> Iterator[Graph]:
     """One representative per isomorphism class of connected unicyclic graphs
     on n vertices, generated directly (no isomorphism test or deduplication).
@@ -507,17 +518,13 @@ def enumerate_unicyclic(n: int) -> Iterator[Graph]:
         for levels in _level_sequences(order):
             ranks[order].append(len(parents))
             parents.append(_level_parents(levels))
-    for p in range(3, n + 1):
-        for cuts in combinations(range(1, n), p - 1):
-            orders = [b - a for a, b in zip((0,) + cuts, cuts + (n,))]
-            if orders[0] > min(orders):  # a least sequence starts with a smallest tree
+    for cuts, orders in _cycle_orders(n):
+        roots = (0,) + cuts
+        for seq in product(*(ranks[order] for order in orders)):
+            if not _least_turn(seq):
                 continue
-            for seq in product(*(ranks[order] for order in orders)):
-                if not _least_turn(seq):
-                    continue
-                roots = (0,) + cuts
-                edges = [(roots[i - 1], roots[i]) for i in range(1, p)] + [(0, roots[-1])]
-                for root, rank in zip(roots, seq):
-                    up = parents[rank]
-                    edges += [(root + up[i], root + i) for i in range(1, len(up))]
-                yield Graph(n, tuple(sorted(edges)))
+            edges = [(roots[i - 1], roots[i]) for i in range(1, len(roots))] + [(0, roots[-1])]
+            for root, rank in zip(roots, seq):
+                up = parents[rank]
+                edges += [(root + up[i], root + i) for i in range(1, len(up))]
+            yield Graph(n, tuple(sorted(edges)))

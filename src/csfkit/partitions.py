@@ -21,13 +21,6 @@ def rearrange(values: Iterable[int]) -> Partition:
     return parts
 
 
-def is_partition(parts: tuple) -> bool:
-    """True if ``parts`` is a weakly decreasing tuple of positive ints."""
-    return all(isinstance(p, int) and p >= 1 for p in parts) and all(
-        parts[i] >= parts[i + 1] for i in range(len(parts) - 1)
-    )
-
-
 def partition_key(p: Partition) -> str:
     """Comma-joined parts, e.g. (4,3,2,1,1) -> "4,3,2,1,1"; () -> ""."""
     return ",".join(map(str, p))
@@ -41,6 +34,6 @@ def parse_partition_key(text: str) -> Partition:
         parts = tuple(int(tok) for tok in text.split(","))
     except ValueError:
         raise ValueError(f"malformed partition key {text!r}") from None
-    if not is_partition(parts):
+    if not all(a >= b for a, b in zip(parts, parts[1:] + (1,))):  # last part >= 1
         raise ValueError(f"partition key {text!r} is not weakly decreasing positive")
     return parts

@@ -24,10 +24,11 @@ from __future__ import annotations
 import time
 from array import array
 from dataclasses import dataclass
+from math import prod
 
 from .csf import csf_codes, csf_value
 from .errors import ResourceLimitError
-from .graph import Graph, enumerate_trees, enumerate_unicyclic
+from .graph import Graph, _cycle_orders, enumerate_trees, enumerate_unicyclic
 
 # tree n = 18 (123,867 trees) and unicyclic n = 14 (129,147 sequences) run;
 # tree n = 19 and unicyclic n = 15 (371,802 sequences) are refused
@@ -43,26 +44,14 @@ class CollisionReport:
     elapsed_seconds: float
 
 
-def _cycle_sequences(r: list[int], n: int) -> int:
-    """Sequences of p >= 3 rooted trees whose orders sum to n, no tree smaller
-    than the first."""
-    total = 0
-    for a in range(1, n + 1):
-        ways = [1] + [0] * n  # ways[m]: sequences of trees of order >= a, total order m
-        for m in range(1, n - a + 1):
-            ways[m] = sum(r[s] * ways[m - s] for s in range(a, m + 1))
-        rest = n - a  # two or more trees follow the first
-        total += r[a] * (ways[rest] - (rest == 0) - (r[rest] if rest >= a else 0))
-    return total
-
-
 def search_work(n: int, graph_class: str) -> int:
     """Candidates the class generator visits at order n.
 
     Trees: the t(n) free trees, by Otter's formula from the rooted-tree
-    numbers r(k).  Unicyclic: the sequences of p >= 3 rooted trees whose
-    orders sum to n.  Both counts grow with n, so counting stops at the first
-    order whose count exceeds SEARCH_WORK_LIMIT and returns that count.
+    numbers r(k).  Unicyclic: the sum, over the tree orders the generator
+    splits n into (``graph._cycle_orders``), of the product of their r(k).
+    Both counts grow with n, so counting stops at the first order whose
+    count exceeds SEARCH_WORK_LIMIT and returns that count.
     """
     r, work = [0, 1], 0  # r[k]: rooted trees on k vertices (OEIS A000081)
     for k in range(1, n + 1):
@@ -73,7 +62,7 @@ def search_work(n: int, graph_class: str) -> int:
             pairs = sum(r[i] * r[k - i] for i in range(1, k)) - (r[k // 2] if k % 2 == 0 else 0)
             work = r[k] - pairs // 2
         else:
-            work = _cycle_sequences(r, k)
+            work = sum(prod(r[order] for order in orders) for _, orders in _cycle_orders(k))
         if work > SEARCH_WORK_LIMIT:
             break
     return work

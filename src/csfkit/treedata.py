@@ -34,7 +34,8 @@ class ThetaTable:
     """Cut images of all singletons and pairs of a tree's labelled edges.
 
     ``pairs`` is keyed by label pairs ordered as in ``edge_labels``;
-    ``singletons`` may be empty for pairs-only data.
+    ``singletons`` may be empty for pairs-only data.  A table whose edge count
+    is not n - 1 is refused as data no tree can realize.
     """
 
     n: int
@@ -64,6 +65,8 @@ class ThetaTable:
         for pair, img in self.pairs.items():
             if len(img) != 3 or sum(img) != self.n or not img[0] >= img[1] >= img[2] >= 1:
                 raise ValueError(f"pair image of {pair} must be a 3-part partition of {self.n}")
+        if m != self.n - 1:
+            raise InconsistentDataError(f"{m} edges cannot make a tree on {self.n} vertices")
 
     @property
     def m(self) -> int:
@@ -185,7 +188,7 @@ def attracts_from_theta(n: int, theta_a: Partition, theta_b: Partition,
     unrealizable data.
     """
     for img, parts in ((theta_a, 2), (theta_b, 2), (theta_ab, 3)):
-        if len(img) != parts or sum(img) != n:
+        if len(img) != parts or sum(img) != n or not img[0] >= img[1] >= img[-1] >= 1:
             raise ValueError(f"{img} is not a {parts}-part partition of {n}")
     i = theta_a[1]
     k = theta_b[1]
@@ -230,8 +233,6 @@ def _rebuild(tbl: ThetaTable, singles: dict[str, Partition]) -> tuple[Graph, dic
     """Grow the tree from the singleton images ``singles`` and the table's
     pair images, then check it realizes both."""
     n = tbl.n
-    if tbl.m != n - 1:
-        raise InconsistentDataError(f"{tbl.m} edges cannot make a tree on {n} vertices")
     for label, img in singles.items():
         if n % 2 == 0 and img == (n // 2, n // 2):
             raise TwoCentroidError(
@@ -313,6 +314,4 @@ def reconstruct_from_pairs(tbl: ThetaTable) -> tuple[Graph, dict[str, int]]:
     Recovers the singleton images from the pairs, then runs the full
     reconstruction on them.  Singleton images in ``tbl`` are ignored.
     """
-    if tbl.m != tbl.n - 1:
-        raise InconsistentDataError(f"{tbl.m} edges cannot make a tree on {tbl.n} vertices")
     return _rebuild(tbl, singletons_from_pairs(tbl))

@@ -15,7 +15,9 @@ printed polynomial, and ``line_graph`` reads a printed ``search`` line back
 into its graph.  Triangle reduce is redone depth first, splitting every
 pending graph on its own and merging equal graphs only once triangle-free.
 Edge attraction is decided from its definition, by collecting the edges of
-every path from a centroid to an endpoint of either edge.  ``relabelled``
+every path from a centroid to an endpoint of either edge.  The first
+difference of two functions is found by sorting every partition either one
+names and scanning them in descending order.  ``relabelled``
 gives a graph a seeded vertex permutation and edge order, so a fast path is
 also checked off the labelling its input was generated in.
 """
@@ -476,3 +478,18 @@ def attracts_by_paths(t: Graph, ea: int, eb: int) -> bool:
             if ea in path and eb in path:
                 return True
     return False
+
+
+# ---------------------------------------------------------------------------
+# First difference of two functions
+
+
+def first_difference_by_sort(a: PowerSumPolynomial, b: PowerSumPolynomial):
+    """``first_difference`` by a descending scan of every partition either
+    function names: None if equal, "degree" if only the degrees differ."""
+    if a.degree == b.degree and a.terms == b.terms:
+        return None
+    for key in sorted(set(a.terms) | set(b.terms), reverse=True):
+        if a.terms.get(key, 0) != b.terms.get(key, 0):
+            return key, a.terms.get(key, 0), b.terms.get(key, 0)
+    return "degree", a.degree, b.degree

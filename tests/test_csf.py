@@ -18,6 +18,7 @@ from csfkit import (
 )
 
 from fixtures import CHROMATIC_TREE7, COLLISION_LEFT6, COLLISION_RIGHT6
+from oracles import first_difference_by_sort, relabelled
 
 K2 = Graph(2, ((0, 1),))
 K3 = Graph(3, ((0, 1), (0, 2), (1, 2)))
@@ -223,6 +224,28 @@ def test_first_difference_reports_degree_when_every_coefficient_agrees():
     # graphs of different orders already differ at a partition
     x2, x3 = chromatic_symmetric_function(K2), chromatic_symmetric_function(K3)
     assert first_difference(x2, x3) == ((3,), 0, 2)
+
+
+def test_first_difference_matches_the_sorted_scan():
+    rng = random.Random(17)
+    pairs = [(PowerSumPolynomial(2, {}), PowerSumPolynomial(3, {})),
+             (chromatic_symmetric_function(COLLISION_LEFT6), chromatic_symmetric_function(COLLISION_RIGHT6))]
+    for _ in range(60):
+        n = rng.randint(1, 7)
+        g = random_graph(rng, n, 12)
+        x = chromatic_symmetric_function(g)
+        # the same graph relabelled, another graph of order n, and one of another order
+        for h in (relabelled(rng, n, g.edges), random_graph(rng, n, 12),
+                  random_graph(rng, rng.randint(1, 7), 12)):
+            pairs.append((x, chromatic_symmetric_function(h)))
+    kinds = set()
+    for a, b in pairs:
+        for x, y in ((a, b), (b, a)):
+            want = first_difference_by_sort(x, y)
+            assert first_difference(x, y) == want
+            kinds.add(want and (want[0] == "degree", x.degree == y.degree))
+    # equal; a partition at one order and at two; only the degrees differ
+    assert kinds == {None, (False, True), (False, False), (True, False)}
 
 
 def test_polynomial_text_format():

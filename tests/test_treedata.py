@@ -11,6 +11,7 @@ from csfkit import (
     Graph,
     InconsistentDataError,
     NotATreeError,
+    ResourceLimitError,
     ThetaTable,
     TwoCentroidError,
     attracts_from_theta,
@@ -251,6 +252,14 @@ def test_attracts_from_theta_rejects_unrealizable():
         attracts_from_theta(13, (7, 6), (7, 6), (7, 5, 1))
     with pytest.raises(ValueError):
         attracts_from_theta(13, (7, 6), (10, 3), (7, 6))
+
+
+def test_attracts_from_theta_refuses_non_partition_images():
+    # (2, 3) read as a partition would be (3, 2), which repels here
+    with pytest.raises(ValueError, match=r"\(2, 3\) is not a 2-part partition of 5"):
+        attracts_from_theta(5, (2, 3), (4, 1), (2, 2, 1))
+    with pytest.raises(ValueError, match="3-part partition"):
+        attracts_from_theta(5, (3, 2), (4, 1), (1, 2, 2))
 
 
 def test_attraction_criterion_equals_definition_up_to_10():
@@ -593,6 +602,11 @@ def test_forest_type_counts_rejects_cycles():
         forest_type_counts(Graph(3, ((0, 1), (0, 2), (1, 2))))
 
 
+def test_forest_type_counts_obeys_the_edge_cap():
+    with pytest.raises(ResourceLimitError, match="31 edges"):
+        forest_type_counts(Graph(32, tuple((v, v + 1) for v in range(31))))
+
+
 def test_equal_type_counts_iff_equal_csf_up_to_9():
     for n in range(2, 10):
         reps = list(enumerate_trees(n))
@@ -654,6 +668,16 @@ def test_theta_table_validation():
     ):
         with pytest.raises(ValueError, match="every unordered label pair"):
             ThetaTable(n=4, edge_labels=("a", "b", "c"), singletons={}, pairs=pairs)
+
+
+def test_theta_table_needs_n_minus_one_edges():
+    # a tree on 4 vertices has 3 edges; a table with 2 is refused when built
+    with pytest.raises(InconsistentDataError, match="2 edges cannot make a tree on 4 vertices"):
+        ThetaTable(n=4, edge_labels=("a", "b"), singletons={}, pairs={("a", "b"): (2, 1, 1)})
+    with pytest.raises(InconsistentDataError, match="2 edges cannot make a tree on 4 vertices"):
+        ThetaTable.from_text("theta n=4 m=2\na 3,1\nb 2,2\na b 2,1,1\n")
+    with pytest.raises(InconsistentDataError, match="0 edges cannot make a tree on 0 vertices"):
+        ThetaTable.from_text("theta n=0 m=0\n")
 
 
 @pytest.mark.parametrize("singletons, pairs", [
