@@ -3,8 +3,8 @@
 Subcommands: csf, equal, decompose, make-pair, theta, reconstruct, search.
 Exit codes: 0 success (or EQUAL), 1 polynomials differ, 2 usage error,
 3 data error, 4 resource limit.  All stdout output is deterministic;
-timing diagnostics go to stderr.  CSFKIT_MAX_EDGES overrides the edge cap
-on CSF computations, which is checked before the CSF kernels' own work limit.
+timing diagnostics go to stderr.  CSFKIT_MAX_EDGES sets an edge cap on CSF
+computations, checked before the CSF kernels' own work limits; unset, no cap.
 ``main`` may be called many times in one process: the parser is built on the
 first call, and CSFKIT_MAX_EDGES is read again by every command.
 """
@@ -17,8 +17,7 @@ import hashlib
 import os
 import sys
 
-from .csf import (DEFAULT_MAX_EDGES, PowerSumPolynomial, chromatic_symmetric_function, csf_codes,
-                  csf_value, first_difference)
+from .csf import PowerSumPolynomial, chromatic_symmetric_function, csf_codes, csf_value, first_difference
 from .errors import CsfkitError, ResourceLimitError
 from .graph import Graph, parse_graph
 from .pairgen import RootedTree, glue_rooted_trees
@@ -28,7 +27,7 @@ from .search import run_search
 from .treedata import ThetaTable, reconstruct_from_pairs, reconstruct_from_theta, theta_tables
 
 
-def _enumeration_cap(explicit: int | None = None) -> int:
+def _enumeration_cap(explicit: int | None = None) -> int | None:
     if explicit is not None:
         if explicit < 0:
             raise CsfkitError(f"--max-edges must be a nonnegative integer, got {explicit}")
@@ -36,7 +35,7 @@ def _enumeration_cap(explicit: int | None = None) -> int:
     env = os.environ.get("CSFKIT_MAX_EDGES")
     if env and not env.strip().isdecimal():
         raise CsfkitError(f"CSFKIT_MAX_EDGES must be a nonnegative integer, got {env!r}")
-    return int(env) if env else DEFAULT_MAX_EDGES
+    return int(env) if env else None
 
 
 def _load_graph(path: str) -> Graph:

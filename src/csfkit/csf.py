@@ -14,20 +14,29 @@ size and all-one multipliers, so a code is a size multiset and merging two is
 an addition; ``csf_value`` passes zero codes and a table of weights, so each
 kernel keeps one state where ``csf_codes`` keeps one per size multiset and
 returns X_G with every p_s replaced by weights[s].  Coefficients are exact
-Python ints.  Oversized inputs are refused up front, by the edge cap
-(default 30) and then by the r >= 2 kernel's work limit.
+Python ints.  An edge cap, if given (none by default), is checked first; then
+each kernel bounds its own work on a component before its main loop runs,
+and the product of components' terms is bounded before it is taken.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import cache
+from itertools import accumulate, chain, repeat
 from math import comb
 
 from .errors import ResourceLimitError
 from .graph import Graph, _components, _root_path, _skipped_edge, is_forest
 from .partitions import Partition, parse_partition_key, partition_key
 
-DEFAULT_MAX_EDGES = 30
+# (child state, state) pairs the tree DP may merge, and (term, term) pairs a
+# product of components may take: csf_codes runs P44 (1,751,584 pairs, about
+# 4 s on a 2-core VM) and refuses P45 (2,127,910); csf_value runs P2048
+STATE_PAIR_LIMIT = 1 << 21
+# (connected set, subset) pairs of the set-partition DP: (3^k - 1) / 2 on K_k,
+# so K14 (2,391,484) runs in about 2 s and K15 is refused
+SET_PAIR_LIMIT = 1 << 22
 
 
 @dataclass(frozen=True)
@@ -88,8 +97,28 @@ def _sparse_terms(adj, order: list[int], parent: list[int], tracked: int | None,
     flips the sign, which cancels every state with t == -1.  Closing a
     component of size s adds pw[s] to the code and multiplies by mult[s]; the
     tracked vertex's component is weighed at the root, once its size is final.
+
+    The merge loop's pairs are bounded first from subtree sizes: s vertices
+    hold at most bound[s] = sum over j < s of q(j) states, one per root size
+    s - j and size multiset of the j closed vertices (q(j) = p(j) with codes,
+    1 without).  On the tracked vertex's root path a closed tracked component
+    of t vertices leaves j - t, so there bound[s] + sum over j < s of bound[j].
+    q(j) is counted for j < 64 only: bound[64] is above STATE_PAIR_LIMIT.
     """
-    root = order[0]
+    root, q = order[0], _partition_counts()[:len(order)] if pw[-1] else ()  # pw is 0 without codes
+    bound = list(accumulate(chain(q, repeat(1, len(order) - len(q))), initial=0))
+    on_path = [b + below for b, below in zip(bound, accumulate(bound, initial=0))]
+    path = set(_root_path(parent, tracked)) if tracked is not None else ()
+    size, work = dict.fromkeys(order, 1), 0
+    for v in reversed(order):
+        for c in adj[v]:
+            if parent[c] == v:
+                work += ((on_path if c in path else bound)[size[c]]
+                         * (on_path if v in path else bound)[size[v]])
+                size[v] += size[c]
+    if work > STATE_PAIR_LIMIT:
+        raise ResourceLimitError(f"the tree DP on a component of {len(order)} vertices may merge "
+                                 f"{work} state pairs, above the limit of {STATE_PAIR_LIMIT}")
     states: dict[int, dict] = {}
     for v in reversed(order):
         mine = {(1, -1 if v == tracked else 0, 0): 1}
@@ -123,6 +152,16 @@ def _sparse_terms(adj, order: list[int], parent: list[int], tracked: int | None,
     return terms
 
 
+@cache
+def _partition_counts() -> tuple[int, ...]:
+    """p(j), the partitions of j, for j < 64."""
+    p = [1] * 64
+    for part in range(2, 64):
+        for j in range(part, 64):
+            p[j] += p[j - part]
+    return tuple(p)
+
+
 def _connected_sets(nbr: list[int], low: int, within: int):
     """Each connected vertex mask inside ``within`` that contains bit ``low``."""
     stack = [(low, nbr[low.bit_length() - 1] & within, 0)]  # (set, frontier, banned)
@@ -147,10 +186,20 @@ def _vertex_dp_terms(order: list[int], adj, pw: list[int], mult: list[int]) -> d
     run forward with the remaining sets R grouped by their least vertex.  Both
     read at least vertex i only sets whose least vertex is i, so they run one
     i at a time, and the remainder "every vertex >= i" reuses c's sets.
+    First the connected sets B are counted, each with the 2^(|B|-1) subsets
+    holding min(B), up to the limit: this bounds c's scans, and on K_k it is
+    about three times h's (R, B) pairs.  Every vertex set counted gives at
+    most (3^k - 1) / 2, so the count runs only when that is above the limit.
     """
     k, local = len(order), {v: i for i, v in enumerate(order)}
     nbr = [sum(1 << local[w] for w in adj[v]) for v in order]
-    full = (1 << k) - 1
+    full, work = (1 << k) - 1, 0
+    for i in range(k if 3 ** k > 2 * SET_PAIR_LIMIT + 1 else 0):
+        for b in _connected_sets(nbr, 1 << i, full & -(1 << i)):
+            work += 1 << b.bit_count() - 1
+            if work > SET_PAIR_LIMIT:
+                raise ResourceLimitError(f"the set-partition DP on a component of {k} vertices "
+                                         f"needs more than its limit of {SET_PAIR_LIMIT} set pairs")
     pending: list = [{} for _ in range(k + 1)]  # index -1 is k: R empty
     pending[0][full] = {0: 1}
     for i in range(k):
@@ -190,27 +239,19 @@ def _vertex_dp_terms(order: list[int], adj, pw: list[int], mult: list[int]) -> d
     return pending[k][0]
 
 
-def _expansion(g: Graph, max_edges: int, pw: list[int], mult: list[int]) -> dict[int, int]:
+def _expansion(g: Graph, max_edges: int | None, pw: list[int], mult: list[int]) -> dict[int, int]:
     """X_G as {code: coefficient}, each closed part of size s adding pw[s] to the
-    code and multiplying by mult[s] (mult[0] = 1), after the up-front limits.
+    code and multiplying by mult[s] (mult[0] = 1), after the edge cap if any.
 
     One breadth-first pass gives each component's vertices in order, its
     cyclomatic number r and, for r = 1, the edge to drop: the one it skipped.
     """
     n, m, adj = g.vertex_count, g.edge_count, g.adjacency
-    if m > max_edges:
-        raise ResourceLimitError(
-            f"graph has {m} edges, above the enumeration cap of {max_edges}"
-        )
-    parent = [-1] * n
-    comps = [(c, sum(len(adj[v]) for v in c) // 2 - len(c) + 1) for c in _components(adj, parent)]
-    for comp, r in comps:
-        if r >= 2 and 1 << len(comp) > VERTEX_DP_WORK_LIMIT:
-            raise ResourceLimitError(f"a component with {len(comp)} vertices and cyclomatic "
-                                     f"number {r} needs 2^{len(comp)} vertex masks, above "
-                                     f"the limit of {VERTEX_DP_WORK_LIMIT}")
-    total = {0: 1}
-    for comp, r in comps:
+    if max_edges is not None and m > max_edges:
+        raise ResourceLimitError(f"graph has {m} edges, above the enumeration cap of {max_edges}")
+    parent, total = [-1] * n, {0: 1}
+    for comp in _components(adj, parent):
+        r = sum(len(adj[v]) for v in comp) // 2 - len(comp) + 1
         if r == 0:
             part = _sparse_terms(adj, comp, parent, None, pw, mult)
         elif r == 1:  # the pass's tree, re-rooted at x: path links reversed, path first
@@ -224,6 +265,9 @@ def _expansion(g: Graph, max_edges: int, pw: list[int], mult: list[int]) -> dict
             part = _sparse_terms(adj, order, parent, y, pw, mult)
         else:
             part = _vertex_dp_terms(comp, adj, pw, mult)
+        if len(total) * len(part) > STATE_PAIR_LIMIT:
+            raise ResourceLimitError(f"multiplying {len(total)} by {len(part)} terms is above "
+                                     f"the limit of {STATE_PAIR_LIMIT} term pairs")
         product: dict[int, int] = {}
         for ca, xa in total.items():
             for cb, xb in part.items():
@@ -232,7 +276,7 @@ def _expansion(g: Graph, max_edges: int, pw: list[int], mult: list[int]) -> dict
     return total
 
 
-def csf_codes(g: Graph, max_edges: int = DEFAULT_MAX_EDGES) -> dict[int, int]:
+def csf_codes(g: Graph, max_edges: int | None = None) -> dict[int, int]:
     """Exact nonzero terms of X_G as {size code: coefficient}.
 
     A code holds one base-(n+1) digit per part size, digit s - 1 counting the
@@ -246,7 +290,7 @@ def csf_codes(g: Graph, max_edges: int = DEFAULT_MAX_EDGES) -> dict[int, int]:
     return {code: coeff for code, coeff in total.items() if coeff}
 
 
-def csf_value(g: Graph, weights: list[int], max_edges: int = DEFAULT_MAX_EDGES) -> int:
+def csf_value(g: Graph, weights: list[int], max_edges: int | None = None) -> int:
     """X_G with each p_s replaced by weights[s] (s = 1..n), exactly.
 
     The kernels run with every part code zero, so each keeps one state where
@@ -274,7 +318,7 @@ def _partition(code: int, n: int) -> Partition:
     return tuple(parts)
 
 
-def chromatic_symmetric_function(g: Graph, max_edges: int = DEFAULT_MAX_EDGES) -> PowerSumPolynomial:
+def chromatic_symmetric_function(g: Graph, max_edges: int | None = None) -> PowerSumPolynomial:
     """Exact power-sum expansion of X_G, one structured kernel per component."""
     return PowerSumPolynomial.from_codes(g.vertex_count, csf_codes(g, max_edges))
 
@@ -283,7 +327,7 @@ def forest_type_counts(f: Graph) -> dict[Partition, int]:
     """For each partition, the number of edge subsets of that type.
 
     Forests only: there every subset of a given type has the same size, so
-    these counts are X_F's coefficients in absolute value, under the default cap.
+    these counts are X_F's coefficients in absolute value, under the kernel's limit.
     """
     if not is_forest(f):
         raise ValueError("forest_type_counts requires a forest")
@@ -299,9 +343,6 @@ def specialize(x: PowerSumPolynomial, k: int) -> int:
 
 
 COLORING_WORK_LIMIT = 100_000_000
-# 2^k vertex masks of one component with r >= 2; its c table holds one entry
-# per connected mask, so this also bounds that table's memory
-VERTEX_DP_WORK_LIMIT = 1 << 20
 
 
 def count_proper_colorings(g: Graph, k: int) -> int:
@@ -380,8 +421,8 @@ def extract_invariants(x: PowerSumPolynomial) -> ExtractedReport:
 
 
 def csf_equal(a: PowerSumPolynomial, b: PowerSumPolynomial) -> bool:
-    """Exact equality: same degree and identical term maps."""
-    return a.degree == b.degree and a.terms == b.terms
+    """Exact equality: same degree and equal coefficients, by ``first_difference``."""
+    return first_difference(a, b) is None
 
 
 def first_difference(a: PowerSumPolynomial, b: PowerSumPolynomial) -> tuple[Partition | str, int, int] | None:

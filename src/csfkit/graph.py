@@ -14,8 +14,12 @@ from functools import cached_property
 from itertools import combinations, product
 from typing import Iterable, Iterator
 
-from .errors import GraphParseError, NotATreeError
+from .errors import GraphParseError, NotATreeError, ResourceLimitError
 from .partitions import Partition
+
+# Largest vertex count a parsed header may declare, checked before any
+# per-vertex list exists: csf on 100,000 isolated vertices takes under 1 s.
+MAX_VERTICES = 100_000
 
 
 @dataclass(frozen=True)
@@ -99,6 +103,8 @@ def parse_graph(text: str) -> Graph:
     if len(head) != 2 or not all(tok.isdecimal() for tok in head):
         raise GraphParseError(f"line 1: expected 'n m', got {lines[0]!r}")
     n, m = int(head[0]), int(head[1])
+    if n > MAX_VERTICES:
+        raise ResourceLimitError(f"line 1: {n} vertices, above the limit of {MAX_VERTICES}")
     body = [ln for ln in lines[1:]]
     if len(body) < m:
         raise GraphParseError(f"line {len(lines) + 1}: expected {m} edge lines, got {len(body)}")

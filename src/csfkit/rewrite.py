@@ -13,7 +13,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from itertools import compress
 
-from .csf import DEFAULT_MAX_EDGES, PowerSumPolynomial, chromatic_symmetric_function
+from .csf import PowerSumPolynomial, chromatic_symmetric_function
 from .errors import ResourceLimitError
 from .graph import Graph, _check_edge_indices
 from .partitions import Partition
@@ -148,8 +148,7 @@ def reduce_triangle_free(g: Graph) -> GraphCombination:
     return GraphCombination(tuple(terms))
 
 
-def combination_csf(c: GraphCombination,
-                    max_edges: int = DEFAULT_MAX_EDGES) -> PowerSumPolynomial:
+def combination_csf(c: GraphCombination, max_edges: int | None = None) -> PowerSumPolynomial:
     """Signed sum of member CSFs; members must share one vertex count."""
     if not c.terms:
         raise ValueError("empty combination has no well-defined degree")

@@ -78,13 +78,13 @@ def _point(n: int) -> list[int]:
     return [(0x9E3779B97F4A7C15 * (s + 1)) % (1 << 61) | 1 for s in range(n + 1)]
 
 
-def run_search(n: int, graph_class: str, max_edges: int) -> CollisionReport:
+def run_search(n: int, graph_class: str, max_edges: int | None) -> CollisionReport:
     """Group the graphs of one class and order by exact equality of X_G."""
     start = time.monotonic()
     if graph_class not in ("tree", "unicyclic"):
         raise ValueError(f"unknown graph class {graph_class!r}")
     needed = n - 1 if graph_class == "tree" else n
-    if needed > max_edges:
+    if max_edges is not None and needed > max_edges:
         raise ResourceLimitError(
             f"{graph_class} search at n={n} needs {needed}-edge enumerations, cap is {max_edges}"
         )

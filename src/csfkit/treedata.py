@@ -19,7 +19,7 @@ from dataclasses import dataclass
 from functools import cached_property
 from itertools import chain, combinations
 
-from .errors import InconsistentDataError, TwoCentroidError
+from .errors import InconsistentDataError, ResourceLimitError, TwoCentroidError
 from .graph import Graph, _check_edge_indices, pi_type, require_tree
 from .partitions import (
     Partition,
@@ -27,6 +27,18 @@ from .partitions import (
     partition_key,
     rearrange,
 )
+
+# Largest C(m, 2) * n a cut table may take, since each of its C(m, 2) pair
+# images costs O(n): theta_tables runs a 301-vertex tree (13,499,850; 4-7 s on
+# a 2-core VM), and trees above 323 vertices are refused.
+CUT_WORK_LIMIT = 1 << 24
+
+
+def _check_cut_work(n: int, m: int) -> None:
+    """ResourceLimitError if a cut table of n vertices and m edges is too big."""
+    if m * (m - 1) // 2 * n > CUT_WORK_LIMIT:
+        raise ResourceLimitError(f"a cut table of {m} edges on {n} vertices needs C({m}, 2) * {n} "
+                                 f"steps, above the limit of {CUT_WORK_LIMIT}")
 
 
 @dataclass(frozen=True)
@@ -102,6 +114,7 @@ class ThetaTable:
             m = int(toks[2].removeprefix("m="))
         except (IndexError, ValueError):
             raise ValueError(f"malformed header {lines[0]!r}") from None
+        _check_cut_work(n, m)
         singletons: dict[str, Partition] = {}
         pair_rows: list[tuple[str, str, Partition]] = []
         labels: list[str] = []
@@ -159,6 +172,7 @@ def _cut_images(t: Graph) -> tuple[list[Partition], dict[tuple[int, int], Partit
     keyed by index pair i < j.  The tree is checked once; each image is then
     the type of the edges kept, as in ``theta``."""
     require_tree(t, "theta_tables")
+    _check_cut_work(t.vertex_count, t.edge_count)
     kept = range(t.edge_count)
     singles = [pi_type(t, chain(kept[:i], kept[i + 1:])) for i in kept]
     pairs = {(i, j): pi_type(t, chain(kept[:i], kept[i + 1:j], kept[j + 1:]))

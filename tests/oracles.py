@@ -9,7 +9,8 @@ leaves, the girth by deleting each edge in turn, matching counts by listing
 every matching, and a component-tracking dynamic program that expands X_G for forests and
 connected unicyclic graphs without touching 2^E subsets.  The DP lets the
 suite check CSF equality on glued pairs far beyond what the subset
-enumerator can reach in test time.  The collision search is redone the
+enumerator can reach in test time, and counts the state pairs its merges
+take, against which the package's up-front bound on its own DP is checked.  The collision search is redone the
 earlier way: candidates deduplicated by canonical keys, then bucketed by the
 printed polynomial, and ``line_graph`` reads a printed ``search`` line back
 into its graph.  Triangle reduce is redone depth first, splitting every
@@ -36,7 +37,7 @@ from csfkit import (
     chromatic_symmetric_function,
     triangle_split,
 )
-from csfkit.graph import _bfs, _components, _level_sequences, tree_from_levels
+from csfkit.graph import _bfs, _components, _level_sequences, _skipped_edge, tree_from_levels
 
 
 # ---------------------------------------------------------------------------
@@ -233,7 +234,9 @@ def matching_counts_by_recursion(g: Graph) -> tuple[int, ...]:
 # where the sign is (-1)^(number of included edges).
 
 
-def _rooted_states(g: Graph, root: int, tracked: int | None):
+def _rooted_states(g: Graph, root: int, tracked: int | None, pairs: list[int] | None = None):
+    """The states at ``root``.  ``pairs``, if given, gains the (child state,
+    state) pairs each merge takes: [0] with closed sizes kept, [1] without."""
     adj = g.adjacency
     order, parent = [root], {root: -1}
     for x in order:
@@ -249,6 +252,9 @@ def _rooted_states(g: Graph, root: int, tracked: int | None):
             if parent.get(c) != v:
                 continue
             child_states = states.pop(c)
+            if pairs is not None:
+                pairs[0] += len(mine) * len(child_states)
+                pairs[1] += len({key[:2] for key in mine}) * len({key[:2] for key in child_states})
             merged: dict[tuple, int] = {}
             for (sv, tv, pv), av in mine.items():
                 for (sc, tc, pc), ac in child_states.items():
@@ -316,6 +322,23 @@ def unicyclic_csf(g: Graph) -> PowerSumPolynomial:
             key = tuple(sorted(closed + (sr + tracked,), reverse=True))
         terms[key] = terms.get(key, 0) - coeff
     return PowerSumPolynomial(g.vertex_count, {k: c for k, c in terms.items() if c})
+
+
+def sparse_merge_pairs(g: Graph) -> tuple[int, int]:
+    """(child state, state) pairs the tree or unicyclic DP of ``csfkit.csf``
+    merges on a connected g with at most one cycle, with closed sizes kept (as
+    ``csf_codes``) and without (as ``csf_value``), counted on this module's
+    DP over the same rooted tree: rooted at vertex 0 for a tree, and for a
+    unicyclic g the tree left by the cycle edge x-y that a breadth-first pass
+    from vertex 0 skips, rooted at x and tracking y."""
+    pairs = [0, 0]
+    if g.edge_count < g.vertex_count:
+        _rooted_states(g, 0, None, pairs)
+        return pairs[0], pairs[1]
+    parent = [-1] * g.vertex_count
+    x, y = _skipped_edge(g.adjacency, _components(g.adjacency, parent)[0], parent)
+    _rooted_states(g.with_edges_removed([g.index_of(x, y)]), x, y, pairs)
+    return pairs[0], pairs[1]
 
 
 # ---------------------------------------------------------------------------

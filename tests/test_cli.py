@@ -123,7 +123,36 @@ def test_csf_work_limit_exit_code(tmp_path, capsys, monkeypatch):
     code, out, err = run(capsys, ["csf", path])
     assert code == 4
     assert out == ""
-    assert "limit" in err
+    assert err == ("error: the set-partition DP on a component of 21 vertices needs more than "
+                   "its limit of 4194304 set pairs\n")
+
+
+@pytest.mark.parametrize("text, message", [
+    ("100000000 0\n", "error: line 1: 100000000 vertices, above the limit of 100000\n"),
+    (Graph(70, tuple((v, v + 1) for v in range(69))).to_text(),
+     "error: the tree DP on a component of 70 vertices may merge "),
+])
+def test_oversized_csf_input_exits_4_at_once(tmp_path, capsys, monkeypatch, text, message):
+    # no edge cap by default: the vertex limit and the kernel's bound refuse these
+    monkeypatch.delenv("CSFKIT_MAX_EDGES", raising=False)
+    path = tmp_path / "big.graph"
+    path.write_text(text, encoding="ascii")
+    start = time.monotonic()
+    code, out, err = run(capsys, ["csf", str(path)])
+    assert (code, out) == (4, "")
+    assert err.startswith(message)
+    assert time.monotonic() - start < 1.0
+
+
+def test_csf_runs_past_30_edges_by_default(tmp_path, capsys, monkeypatch):
+    monkeypatch.delenv("CSFKIT_MAX_EDGES", raising=False)
+    p40 = Graph(40, tuple((v, v + 1) for v in range(39)))
+    path = write_graph(tmp_path, "p40.graph", p40)
+    code, out, _ = run(capsys, ["csf", path, "--chromatic", "3"])
+    assert (code, out) == (0, f"{3 * 2 ** 39}\n")
+    monkeypatch.setenv("CSFKIT_MAX_EDGES", "30")
+    code, out, err = run(capsys, ["csf", path, "--chromatic", "3"])
+    assert (code, out, err) == (4, "", "error: graph has 39 edges, above the enumeration cap of 30\n")
 
 
 @pytest.mark.parametrize("value", ["abc", "-1"])
@@ -323,12 +352,14 @@ def test_make_pair_identical_inputs_still_equal(tmp_path, capsys):
 
 def test_make_pair_refused_writes_no_files(tmp_path, capsys, monkeypatch):
     monkeypatch.delenv("CSFKIT_MAX_EDGES", raising=False)
-    # Two 8-vertex paths glued at an end make 32 edges, past the 30-edge cap.
-    p8 = write_graph(tmp_path, "p8.graph", Graph(8, tuple((i, i + 1) for i in range(7))))
+    # Two 10-vertex paths glued at an end make a 40-vertex unicyclic graph whose
+    # kernel bound is above its limit.
+    p10 = write_graph(tmp_path, "p10.graph", Graph(10, tuple((i, i + 1) for i in range(9))))
     prefix = str(tmp_path / "big")
-    code, out, err = run(capsys, ["make-pair", p8, "0", p8, "0", "--out", prefix])
+    code, out, err = run(capsys, ["make-pair", p10, "0", p10, "0", "--out", prefix])
     assert (code, out) == (4, "")
-    assert err == "error: graph has 32 edges, above the enumeration cap of 30\n"
+    assert err == ("error: the tree DP on a component of 40 vertices may merge 11730539 state "
+                   "pairs, above the limit of 2097152\n")
     assert not os.path.exists(f"{prefix}_h.graph")
     assert not os.path.exists(f"{prefix}_j.graph")
 
@@ -350,6 +381,21 @@ def test_theta_then_reconstruct_roundtrip(tmp_path, capsys):
     assert out2 == "CONSISTENT\n"
     rebuilt = parse_graph(out_path.read_text(encoding="ascii"))
     assert canonical_tree_code(rebuilt) == canonical_tree_code(star5)
+
+
+def test_oversized_cut_tables_exit_4_before_any_image(tmp_path, capsys):
+    p3000 = write_graph(tmp_path, "p3000.graph", Graph(3000, tuple((v, v + 1) for v in range(2999))))
+    table = tmp_path / "big.theta"
+    # pair lines after the header are never read: the header alone is refused
+    table.write_text("theta n=3000 m=2999\nnot a pair line\n", encoding="ascii")
+    for argv in (["theta", p3000], ["reconstruct", str(table), "--out", str(tmp_path / "t.graph")]):
+        start = time.monotonic()
+        code, out, err = run(capsys, argv)
+        assert (code, out) == (4, "")
+        assert err == ("error: a cut table of 2999 edges on 3000 vertices needs C(2999, 2) * 3000 "
+                       "steps, above the limit of 16777216\n")
+        assert time.monotonic() - start < 1.0
+    assert not (tmp_path / "t.graph").exists()
 
 
 def test_theta_on_a_non_tree_is_a_data_error(tmp_path, capsys):
@@ -476,7 +522,7 @@ def test_search_resource_limit(capsys):
 
 @pytest.mark.parametrize("graph_class, n", [("tree", 31), ("unicyclic", 30)])
 def test_search_refuses_oversized_class_up_front(capsys, graph_class, n):
-    # both pass the 30-edge cap; the candidate count is what refuses them
+    # there is no edge cap by default; the candidate count is what refuses them
     start = time.monotonic()
     code, out, err = run(capsys, ["search", "--class", graph_class, "--n", str(n)])
     assert code == 4

@@ -205,6 +205,15 @@ def test_csf_equal_distinguishes_path_and_star():
     assert xp.coefficient((2, 2)) != xs.coefficient((2, 2))
 
 
+def test_csf_equal_agrees_with_first_difference_on_stored_zeros():
+    a = PowerSumPolynomial(1, {(1,): 1, (2,): 0})
+    b = PowerSumPolynomial(1, {(1,): 1})
+    assert first_difference(a, b) is None
+    assert csf_equal(a, b) and csf_equal(b, a)
+    assert not csf_equal(a, PowerSumPolynomial(2, {(1,): 1}))
+    assert not csf_equal(a, PowerSumPolynomial(1, {(1,): 2}))
+
+
 def test_first_difference_of_equal_functions_is_none():
     xl = chromatic_symmetric_function(COLLISION_LEFT6)
     xr = chromatic_symmetric_function(COLLISION_RIGHT6)

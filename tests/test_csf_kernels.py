@@ -8,6 +8,7 @@ definition's terms summed at seeded weights.
 """
 
 import random
+import re
 import time
 import tracemalloc
 from itertools import combinations
@@ -21,12 +22,19 @@ from csfkit import (
     chromatic_symmetric_function,
     count_proper_colorings,
     enumerate_trees,
+    enumerate_unicyclic,
     specialize,
 )
+from csfkit import csf
 from csfkit.csf import csf_codes, csf_value
 from csfkit.graph import _components
 
-from oracles import cycle_vertices_by_stripping, subset_csf, unicyclic_canonical_key
+from oracles import (cycle_vertices_by_stripping, relabelled, sparse_merge_pairs, subset_csf,
+                     unicyclic_canonical_key)
+
+
+def path(n: int) -> Graph:
+    return Graph(n, tuple((v, v + 1) for v in range(n - 1)))
 
 
 def assert_kernels_match(g: Graph) -> None:
@@ -140,7 +148,7 @@ def test_dense_component_refused_before_any_work():
     tracemalloc.start()
     start = time.perf_counter()
     try:
-        with pytest.raises(ResourceLimitError, match="2\\^24"):
+        with pytest.raises(ResourceLimitError, match="set-partition DP on a component of 24 vertices"):
             chromatic_symmetric_function(k24, max_edges=1000)
         peak = tracemalloc.get_traced_memory()[1]
     finally:
@@ -169,5 +177,73 @@ def test_value_refuses_short_weights_and_keeps_the_limits():
     with pytest.raises(ResourceLimitError, match="cap"):
         csf_value(Graph(3, ((0, 1), (1, 2))), [1] * 4, max_edges=1)
     k24 = Graph(24, tuple(combinations(range(24), 2)))
-    with pytest.raises(ResourceLimitError, match="2\\^24"):
+    with pytest.raises(ResourceLimitError, match="set-partition DP on a component of 24 vertices"):
         csf_value(k24, [1] * 25, max_edges=1000)
+
+
+def tree_dp_bound(g: Graph, codes: bool) -> int:
+    """The tree DP's up-front bound on connected g, read off the refusal it
+    gives when its limit is below every bound."""
+    with pytest.MonkeyPatch.context() as patch:
+        patch.setattr(csf, "STATE_PAIR_LIMIT", -1)
+        with pytest.raises(ResourceLimitError) as info:
+            csf_codes(g) if codes else csf_value(g, [1] * (g.vertex_count + 1))
+    return int(re.search(r"may merge (\d+) state pairs", str(info.value)).group(1))
+
+
+def test_tree_dp_bound_covers_its_merge_work():
+    rng = random.Random(12)
+    graphs = [t for n in range(1, 13) for t in enumerate_trees(n)]
+    graphs += [g for n in range(3, 10) for g in enumerate_unicyclic(n)]
+    for g in graphs + [relabelled(rng, g.vertex_count, g.edges) for g in graphs]:
+        codes_pairs, value_pairs = sparse_merge_pairs(g)
+        assert tree_dp_bound(g, True) >= codes_pairs, g
+        assert tree_dp_bound(g, False) >= value_pairs, g
+
+
+def test_tree_dp_bound_is_exact_on_paths_from_an_end():
+    # partitions are counted for sizes below 64 only, whose bound is past the limit
+    assert sum(csf._partition_counts()) > csf.STATE_PAIR_LIMIT
+    # every size multiset of a path's closed segments occurs
+    for n in range(1, 21):
+        p = Graph(n, tuple((v, v + 1) for v in range(n - 1)))
+        assert tree_dp_bound(p, True) == sparse_merge_pairs(p)[0]
+        assert tree_dp_bound(p, False) == sparse_merge_pairs(p)[1] == n * (n - 1) // 2
+
+
+def test_paths_run_by_default_within_the_tree_dp_limit():
+    assert len(csf_codes(path(32))) == 8349  # p(32)
+    assert len(csf_codes(path(40))) == 37338  # p(40)
+    p200 = path(200)
+    assert csf_value(p200, [3] * 201) == 3 * 2 ** 199  # k (k - 1)^(n - 1) colourings
+
+
+def assert_refused_at_once(compute, message: str) -> None:
+    tracemalloc.start()
+    start = time.perf_counter()
+    try:
+        with pytest.raises(ResourceLimitError, match=message):
+            compute()
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert time.perf_counter() - start < 1.0
+    assert peak < 1_000_000
+
+
+def test_oversized_components_are_refused_before_any_work():
+    assert_refused_at_once(lambda: csf_codes(path(70)), "tree DP on a component of 70 vertices")
+    assert_refused_at_once(lambda: csf_codes(path(45)), "tree DP on a component of 45 vertices")
+    for k in (16, 24):
+        clique = Graph(k, tuple(combinations(range(k), 2)))
+        assert_refused_at_once(lambda: csf_codes(clique, max_edges=1000),
+                               f"set-partition DP on a component of {k} vertices")
+
+
+def test_product_of_components_is_refused_above_the_pair_limit():
+    # each P30 runs at once, but 5,604 x 5,604 term pairs are above the limit
+    two = Graph(60, tuple((v, v + 1) for v in range(29)) + tuple((v, v + 1) for v in range(30, 59)))
+    with pytest.raises(ResourceLimitError, match="multiplying 5604 by 5604 terms"):
+        csf_codes(two)
+    assert csf_value(two, [2] * 61) == 4  # two 2-colourings of each path
+

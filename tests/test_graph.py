@@ -8,6 +8,7 @@ from csfkit import (
     Graph,
     GraphParseError,
     NotATreeError,
+    ResourceLimitError,
     RootedTree,
     canonical_tree_code,
     centroid,
@@ -60,6 +61,15 @@ def test_parse_triangle():
 
 def test_parse_chromatic_tree():
     assert parse_graph(CHROMATIC_TREE7_TEXT) == CHROMATIC_TREE7
+
+
+def test_parse_refuses_a_vertex_count_above_the_limit_before_allocating():
+    assert parse_graph(f"{graph.MAX_VERTICES} 0\n").vertex_count == graph.MAX_VERTICES
+    with pytest.raises(ResourceLimitError, match=f"line 1: {graph.MAX_VERTICES + 1} vertices"):
+        parse_graph(f"{graph.MAX_VERTICES + 1} 0\n")
+    # refused from the header alone, before the body is read
+    with pytest.raises(ResourceLimitError, match="above the limit of 100000"):
+        parse_graph("100000000 2\n0 1\n")
 
 
 def test_parse_errors_name_the_line():

@@ -603,8 +603,25 @@ def test_forest_type_counts_rejects_cycles():
 
 
 def test_forest_type_counts_obeys_the_edge_cap():
-    with pytest.raises(ResourceLimitError, match="31 edges"):
-        forest_type_counts(Graph(32, tuple((v, v + 1) for v in range(31))))
+    # no edge cap by default: P32 runs, and the tree DP's own bound refuses P70
+    assert len(forest_type_counts(Graph(32, tuple((v, v + 1) for v in range(31))))) == 8349
+    with pytest.raises(ResourceLimitError, match="tree DP on a component of 70 vertices"):
+        forest_type_counts(Graph(70, tuple((v, v + 1) for v in range(69))))
+
+
+def test_cut_tables_are_refused_by_their_size_up_front():
+    limit = treedata.CUT_WORK_LIMIT
+    assert 300 * 299 // 2 * 301 <= limit  # a 301-vertex tree runs
+    for n, refused in ((323, False), (324, True)):
+        assert ((n - 1) * (n - 2) // 2 * n > limit) is refused
+    p324 = Graph(324, tuple((v, v + 1) for v in range(323)))
+    with pytest.raises(ResourceLimitError, match="C\\(323, 2\\) \\* 324 steps"):
+        theta_tables(p324)
+    with pytest.raises(ResourceLimitError, match="C\\(323, 2\\) \\* 324 steps"):
+        ThetaTable.from_text("theta n=324 m=323\nnot a pair line\n")
+    # a table within the limit is parsed as before
+    with pytest.raises(ValueError, match="malformed theta line"):
+        ThetaTable.from_text("theta n=323 m=322\nnot a pair line\n")
 
 
 def test_equal_type_counts_iff_equal_csf_up_to_9():
