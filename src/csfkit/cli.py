@@ -4,7 +4,7 @@ Subcommands: csf, equal, decompose, make-pair, theta, reconstruct, search.
 Exit codes: 0 success (or EQUAL), 1 polynomials differ, 2 usage error,
 3 data error, 4 resource limit.  All stdout output is deterministic;
 timing diagnostics go to stderr.  CSFKIT_MAX_EDGES sets an edge cap on CSF
-computations, checked before the CSF kernels' own work limits; unset, no cap.
+computations, checked before the CSF kernels' work bounds; unset, no cap.
 ``main`` may be called many times in one process: the parser is built on the
 first call, and CSFKIT_MAX_EDGES is read again by every command.
 """

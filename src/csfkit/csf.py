@@ -14,9 +14,11 @@ size and all-one multipliers, so a code is a size multiset and merging two is
 an addition; ``csf_value`` passes zero codes and a table of weights, so each
 kernel keeps one state where ``csf_codes`` keeps one per size multiset and
 returns X_G with every p_s replaced by weights[s].  Coefficients are exact
-Python ints.  An edge cap, if given (none by default), is checked first; then
-each kernel bounds its own work on a component before its main loop runs,
-and the product of components' terms is bounded before it is taken.
+Python ints.  An edge cap, if given (none by default), is checked first.
+Then one work total runs over the graph, refused above ``WORK_LIMIT``: each
+component's kernel adds its bound on its own work before any kernel runs,
+and each product of two components' terms adds its term pairs before it is
+taken.
 """
 
 from __future__ import annotations
@@ -30,13 +32,11 @@ from .errors import ResourceLimitError
 from .graph import Graph, _components, _root_path, _skipped_edge, is_forest
 from .partitions import Partition, parse_partition_key, partition_key
 
-# (child state, state) pairs the tree DP may merge, and (term, term) pairs a
-# product of components may take: csf_codes runs P44 (1,751,584 pairs, about
-# 4 s on a 2-core VM) and refuses P45 (2,127,910); csf_value runs P2048
-STATE_PAIR_LIMIT = 1 << 21
-# (connected set, subset) pairs of the set-partition DP: (3^k - 1) / 2 on K_k,
-# so K14 (2,391,484) runs in about 2 s and K15 is refused
-SET_PAIR_LIMIT = 1 << 22
+# Steps one graph may take, a step being one dictionary update or one set c's
+# scan visits: every component's kernel bound, summed before any kernel runs,
+# then each product of two components' terms.  csf_codes runs P44 (1,751,584
+# state pairs, two updates each) in about 4 s on a 2-core VM and refuses P45
+WORK_LIMIT = 1 << 22
 
 
 @dataclass(frozen=True)
@@ -83,9 +83,14 @@ class PowerSumPolynomial:
         return cls(n, {_partition(code, n): coeff for code, coeff in codes.items()})
 
 
-def _sparse_terms(adj, order: list[int], parent: list[int], tracked: int | None,
-                  pw: list[int], mult: list[int]) -> dict[int, int]:
-    """Tree component (tracked None), or unicyclic with root-tracked on the cycle.
+def _refuse(what: str, budget: int) -> None:
+    raise ResourceLimitError(f"{what} more than the {budget} steps left of the limit of {WORK_LIMIT}")
+
+
+def _tree_dp(adj, order: list[int], parent: list[int], tracked: int | None,
+             codes: bool, budget: int):
+    """Tree component (tracked None), or unicyclic with root-tracked on the cycle:
+    its bound on its merge work, and the DP as a function of (pw, mult).
 
     A rooted DP over the tree left once the edge root-tracked is dropped,
     given by its parent list (root = order[0] is its own parent) and an order
@@ -98,58 +103,64 @@ def _sparse_terms(adj, order: list[int], parent: list[int], tracked: int | None,
     component of size s adds pw[s] to the code and multiplies by mult[s]; the
     tracked vertex's component is weighed at the root, once its size is final.
 
-    The merge loop's pairs are bounded first from subtree sizes: s vertices
-    hold at most bound[s] = sum over j < s of q(j) states, one per root size
-    s - j and size multiset of the j closed vertices (q(j) = p(j) with codes,
-    1 without).  On the tracked vertex's root path a closed tracked component
-    of t vertices leaves j - t, so there bound[s] + sum over j < s of bound[j].
-    q(j) is counted for j < 64 only: bound[64] is above STATE_PAIR_LIMIT.
+    The bound sums the merge loop's pairs from subtree sizes, two steps each:
+    s vertices hold at most bound[s] = sum over j < s of q(j) states, one per
+    root size s - j and size multiset of the j closed vertices (q(j) = p(j)
+    with codes, 1 without).  On the tracked vertex's root path a closed
+    tracked component of t vertices leaves j - t, so there bound[s] + sum over
+    j < s of bound[j].  q(j) is counted for j < 64 only: bound[64] is above
+    WORK_LIMIT.
     """
-    root, q = order[0], _partition_counts()[:len(order)] if pw[-1] else ()  # pw is 0 without codes
+    root, q = order[0], _partition_counts()[:len(order)] if codes else ()
     bound = list(accumulate(chain(q, repeat(1, len(order) - len(q))), initial=0))
-    on_path = [b + below for b, below in zip(bound, accumulate(bound, initial=0))]
-    path = set(_root_path(parent, tracked)) if tracked is not None else ()
+    weigh = dict.fromkeys(order, bound)  # each vertex's table, by its subtree's size
+    if tracked is not None:
+        on_path = [b + below for b, below in zip(bound, accumulate(bound, initial=0))]
+        weigh.update(dict.fromkeys(_root_path(parent, tracked), on_path))
     size, work = dict.fromkeys(order, 1), 0
     for v in reversed(order):
         for c in adj[v]:
             if parent[c] == v:
-                work += ((on_path if c in path else bound)[size[c]]
-                         * (on_path if v in path else bound)[size[v]])
+                work += weigh[c][size[c]] * weigh[v][size[v]]
                 size[v] += size[c]
-    if work > STATE_PAIR_LIMIT:
-        raise ResourceLimitError(f"the tree DP on a component of {len(order)} vertices may merge "
-                                 f"{work} state pairs, above the limit of {STATE_PAIR_LIMIT}")
-    states: dict[int, dict] = {}
-    for v in reversed(order):
-        mine = {(1, -1 if v == tracked else 0, 0): 1}
-        for c in adj[v]:
-            if parent[c] != v:
-                continue
-            merged: dict = {}
-            get = merged.get
-            for (sc, tc, pc), ac in states.pop(c).items():
-                # leaving the edge v-c out closes the child's component
-                if tc == -1:
-                    t_out, add, a_out = sc, 0, ac
-                else:
-                    t_out, add, a_out = tc, pw[sc], ac * mult[sc]
-                for (sv, tv, pv), av in mine.items():
-                    p = pv + pc
-                    key = (sv, tv or t_out, p + add)
-                    merged[key] = get(key, 0) + av * a_out
-                    key = (sv + sc, tv or tc, p)
-                    merged[key] = get(key, 0) - av * ac
-            mine = merged
-        states[v] = mine
-    terms: dict[int, int] = {}
-    for (sr, t, p), coeff in states[root].items():
-        if t >= 0:
-            key = p + pw[sr] + pw[t]
-            terms[key] = terms.get(key, 0) + coeff * mult[sr] * mult[t]
-        if t > 0:
-            key = p + pw[sr + t]
-            terms[key] = terms.get(key, 0) - coeff * mult[sr + t]
-    return terms
+    if 2 * work > budget:
+        _refuse(f"the tree DP on a component of {len(order)} vertices may merge {work} state pairs, "
+                f"{2 * work} steps,", budget)
+
+    def run(pw: list[int], mult: list[int]) -> dict[int, int]:
+        states: dict[int, dict] = {}
+        for v in reversed(order):
+            mine = {(1, -1 if v == tracked else 0, 0): 1}
+            for c in adj[v]:
+                if parent[c] != v:
+                    continue
+                merged: dict = {}
+                get = merged.get
+                for (sc, tc, pc), ac in states.pop(c).items():
+                    # leaving the edge v-c out closes the child's component
+                    if tc == -1:
+                        t_out, add, a_out = sc, 0, ac
+                    else:
+                        t_out, add, a_out = tc, pw[sc], ac * mult[sc]
+                    for (sv, tv, pv), av in mine.items():
+                        p = pv + pc
+                        key = (sv, tv or t_out, p + add)
+                        merged[key] = get(key, 0) + av * a_out
+                        key = (sv + sc, tv or tc, p)
+                        merged[key] = get(key, 0) - av * ac
+                mine = merged
+            states[v] = mine
+        terms: dict[int, int] = {}
+        for (sr, t, p), coeff in states[root].items():
+            if t >= 0:
+                key = p + pw[sr] + pw[t]
+                terms[key] = terms.get(key, 0) + coeff * mult[sr] * mult[t]
+            if t > 0:
+                key = p + pw[sr + t]
+                terms[key] = terms.get(key, 0) - coeff * mult[sr + t]
+        return terms
+
+    return 2 * work, run
 
 
 @cache
@@ -160,6 +171,25 @@ def _partition_counts() -> tuple[int, ...]:
         for j in range(part, 64):
             p[j] += p[j - part]
     return tuple(p)
+
+
+@cache
+def _set_dp_weights(k: int, codes: bool) -> tuple[tuple[int, ...], ...]:
+    """w[i][s] bounds the h phase's work on one connected set B of s vertices,
+    least vertex i, in a k-vertex component.  Each remaining set R holding B
+    is B and t of the k - i - s vertices above i outside B, and its map holds
+    one entry per size multiset of its k - s - t closed vertices in at most i
+    parts (one per closed part's least vertex), or one without codes.  The
+    caller refuses k above 23 first, so the cache holds at most 46 tables."""
+    q = [[1] + [0] * k]  # q[i][d]: the partitions of d into at most i parts
+    for i in range(1, k):
+        q.append(list(q[-1]))
+        for d in range(i, k + 1):
+            q[i][d] += q[i][d - i]
+    if not codes:
+        q = [[min(1, x) for x in row] for row in q]
+    return tuple(tuple(sum(comb(k - i - s, t) * q[i][k - s - t] for t in range(k - i - s + 1))
+                       for s in range(k - i + 1)) for i in range(k))
 
 
 def _connected_sets(nbr: list[int], low: int, within: int):
@@ -175,47 +205,65 @@ def _connected_sets(nbr: list[int], low: int, within: int):
             ban |= bit
 
 
-def _vertex_dp_terms(order: list[int], adj, pw: list[int], mult: list[int]) -> dict[int, int]:
+def _set_partition_dp(order: list[int], adj, codes: bool, budget: int):
     """Connected set-partition DP over bitmasks of one component's vertices,
-    labelled in the breadth-first ``order``, which keeps the reachable R few.
+    labelled in the breadth-first ``order``, which keeps the reachable R few:
+    its bound on its work, and the DP as a function of (pw, mult).
 
     c({v}) = 1 and, for |B| >= 2, c(B) = -sum c(B') over proper B' < B with
     min(B) in B' and B - B' independent, since the signed count of all edge
-    subsets of G[B] is [G[B] has no edge].  Then X = h(V) with
+    subsets of G[B] is [G[B] has no edge]; a leaf of G[B] other than min(B)
+    settles it at once, as its one edge lies in every connected spanning
+    subset.  Then X = h(V) with
     h(R) = sum over connected B containing min(R) of c(B) mult[|B|] p_|B| h(R - B),
     run forward with the remaining sets R grouped by their least vertex.  Both
     read at least vertex i only sets whose least vertex is i, so they run one
     i at a time, and the remainder "every vertex >= i" reuses c's sets.
-    First the connected sets B are counted, each with the 2^(|B|-1) subsets
-    holding min(B), up to the limit: this bounds c's scans, and on K_k it is
-    about three times h's (R, B) pairs.  Every vertex set counted gives at
-    most (3^k - 1) / 2, so the count runs only when that is above the limit.
+    The bound is counted on those sets, listed up front and kept for the DP,
+    and stops above the budget: each weighs |B| for the leaf test, or with no
+    leaf the 2^(|B|-1) subsets of B holding min(B) that c's scan may visit,
+    plus the h phase's work on it, ``_set_dp_weights``.  Two parts of that
+    count are checked first: the k singletons, whose h work alone is
+    2^(k-1), and then each vertex i with every set of its neighbours above i,
+    which is every connected set of a clique.
     """
-    k, local = len(order), {v: i for i, v in enumerate(order)}
+    k = len(order)
+    what = f"the set-partition DP on a component of {k} vertices needs"
+    if 1 << k - 1 > budget:
+        _refuse(what, budget)
+    local, weights = {v: i for i, v in enumerate(order)}, _set_dp_weights(k, codes)
     nbr = [sum(1 << local[w] for w in adj[v]) for v in order]
-    full, work = (1 << k) - 1, 0
-    for i in range(k if 3 ** k > 2 * SET_PAIR_LIMIT + 1 else 0):
-        for b in _connected_sets(nbr, 1 << i, full & -(1 << i)):
-            work += 1 << b.bit_count() - 1
-            if work > SET_PAIR_LIMIT:
-                raise ResourceLimitError(f"the set-partition DP on a component of {k} vertices "
-                                         f"needs more than its limit of {SET_PAIR_LIMIT} set pairs")
-    pending: list = [{} for _ in range(k + 1)]  # index -1 is k: R empty
-    pending[0][full] = {0: 1}
+    ups = [(nbr[i] >> i + 1).bit_count() for i in range(k)]
+    if sum(comb(up, j) * weights[i][j + 1] for i, up in enumerate(ups) for j in range(up + 1)) > budget:
+        _refuse(what, budget)
+    full, work, plan = (1 << k) - 1, 0, []
     for i in range(k):
-        low = 1 << i
-        sets = sorted(_connected_sets(nbr, low, full & -low), key=int.bit_count)
-        c = {low: 1}
-        for b in sets[1:]:
-            # a leaf's one edge lies in every connected spanning subset
-            rest = b ^ low
+        low, sets, leaves, weight = 1 << i, [], {}, weights[i]
+        for b in _connected_sets(nbr, low, full & -low):
+            rest, size = b ^ low, b.bit_count()
             while rest:
                 leaf = rest & -rest
                 if (nbr[leaf.bit_length() - 1] & b).bit_count() == 1:
-                    c[b] = -c[b ^ leaf]
+                    leaves[b] = leaf
                     break
                 rest ^= leaf
-            else:
+            work += weight[size] + (size if rest else 1 << size - 1)
+            if work > budget:
+                _refuse(what, budget)
+            sets.append(b)
+        sets.sort(key=int.bit_count)
+        plan.append((sets, leaves))
+
+    def run(pw: list[int], mult: list[int]) -> dict[int, int]:
+        pending: list = [{} for _ in range(k + 1)]  # index -1 is k: R empty
+        pending[0][full] = {0: 1}
+        for i, (sets, leaves) in enumerate(plan):
+            low = 1 << i
+            c = {low: 1}
+            for b in sets[1:]:
+                if leaf := leaves.get(b):
+                    c[b] = -c[b ^ leaf]
+                    continue
                 # independent subsets of B - {min B}, each grown by higher bits only
                 total, stack = 0, [(0, b ^ low)]
                 while stack:
@@ -227,33 +275,38 @@ def _vertex_dp_terms(order: list[int], adj, pw: list[int], mult: list[int]) -> d
                         cand ^= bit
                         stack.append((chosen | bit, cand & ~nbr[bit.bit_length() - 1]))
                 c[b] = -total
-        for r, poly in pending[i].items():
-            for b in sets if r == full & -low else _connected_sets(nbr, low, r):
-                rest = r ^ b
-                target = pending[(rest & -rest).bit_length() - 1].setdefault(rest, {})
-                size = b.bit_count()
-                cb, add = c[b] * mult[size], pw[size]
-                for code, a in poly.items():
-                    target[code + add] = target.get(code + add, 0) + a * cb
-        pending[i] = None
-    return pending[k][0]
+            for r, poly in pending[i].items():
+                for b in sets if r == full & -low else _connected_sets(nbr, low, r):
+                    rest = r ^ b
+                    target = pending[(rest & -rest).bit_length() - 1].setdefault(rest, {})
+                    size = b.bit_count()
+                    cb, add = c[b] * mult[size], pw[size]
+                    for code, a in poly.items():
+                        target[code + add] = target.get(code + add, 0) + a * cb
+            pending[i] = None
+        return pending[k][0]
+
+    return work, run
 
 
-def _expansion(g: Graph, max_edges: int | None, pw: list[int], mult: list[int]) -> dict[int, int]:
-    """X_G as {code: coefficient}, each closed part of size s adding pw[s] to the
-    code and multiplying by mult[s] (mult[0] = 1), after the edge cap if any.
+def _expansion(g: Graph, max_edges: int | None, weights: list[int] | None) -> dict[int, int]:
+    """X_G as {code: coefficient}, after the edge cap if any.  With weights
+    None each closed part of size s adds (n+1)^(s-1) to the code; otherwise
+    every code is 0 and the part multiplies by weights[s] (weights[0] = 1).
 
     One breadth-first pass gives each component's vertices in order, its
     cyclomatic number r and, for r = 1, the edge to drop: the one it skipped.
+    Every component's kernel bounds its work before any kernel runs, and the
+    code table is built after that, for parts up to the largest component.
     """
     n, m, adj = g.vertex_count, g.edge_count, g.adjacency
     if max_edges is not None and m > max_edges:
         raise ResourceLimitError(f"graph has {m} edges, above the enumeration cap of {max_edges}")
-    parent, total = [-1] * n, {0: 1}
+    codes, parent, work, runs, longest = weights is None, [-1] * n, 0, [], 0
     for comp in _components(adj, parent):
         r = sum(len(adj[v]) for v in comp) // 2 - len(comp) + 1
         if r == 0:
-            part = _sparse_terms(adj, comp, parent, None, pw, mult)
+            bound, run = _tree_dp(adj, comp, parent, None, codes, WORK_LIMIT - work)
         elif r == 1:  # the pass's tree, re-rooted at x: path links reversed, path first
             x, y = _skipped_edge(adj, comp, parent)
             path = _root_path(parent, x)
@@ -262,12 +315,21 @@ def _expansion(g: Graph, max_edges: int | None, pw: list[int], mult: list[int]) 
             parent[x] = x
             on_path = set(path)
             order = path + [v for v in comp if v not in on_path]
-            part = _sparse_terms(adj, order, parent, y, pw, mult)
+            bound, run = _tree_dp(adj, order, parent, y, codes, WORK_LIMIT - work)
         else:
-            part = _vertex_dp_terms(comp, adj, pw, mult)
-        if len(total) * len(part) > STATE_PAIR_LIMIT:
-            raise ResourceLimitError(f"multiplying {len(total)} by {len(part)} terms is above "
-                                     f"the limit of {STATE_PAIR_LIMIT} term pairs")
+            bound, run = _set_partition_dp(comp, adj, codes, WORK_LIMIT - work)
+        work += bound
+        runs.append(run)
+        longest = max(longest, len(comp))
+    pw = [0] + [(n + 1) ** i for i in range(longest)] if codes else [0] * (n + 1)
+    mult = [1] * (longest + 1) if codes else weights
+    total = {0: 1}
+    for run in runs:
+        part = run(pw, mult)
+        if len(total) * len(part) > WORK_LIMIT - work:
+            _refuse(f"multiplying {len(total)} by {len(part)} terms takes {len(total) * len(part)} "
+                    "term pairs,", WORK_LIMIT - work)
+        work += len(total) * len(part)
         product: dict[int, int] = {}
         for ca, xa in total.items():
             for cb, xb in part.items():
@@ -284,10 +346,7 @@ def csf_codes(g: Graph, max_edges: int | None = None) -> dict[int, int]:
     exactly when their functions are equal, and codes order as their
     partitions do, lexicographically.
     """
-    n = g.vertex_count  # a part has at most m + 1 vertices, so digits stop there
-    pw = [0] + [(n + 1) ** i for i in range(min(n, g.edge_count + 1))]
-    total = _expansion(g, max_edges, pw, [1] * (n + 1))
-    return {code: coeff for code, coeff in total.items() if coeff}
+    return {code: coeff for code, coeff in _expansion(g, max_edges, None).items() if coeff}
 
 
 def csf_value(g: Graph, weights: list[int], max_edges: int | None = None) -> int:
@@ -301,7 +360,7 @@ def csf_value(g: Graph, weights: list[int], max_edges: int | None = None) -> int
     n = g.vertex_count
     if len(weights) <= n:
         raise ValueError(f"need weights for part sizes 1..{n}, got {len(weights)} entries")
-    return _expansion(g, max_edges, [0] * (n + 1), [1, *weights[1:n + 1]]).get(0, 0)
+    return _expansion(g, max_edges, [1, *weights[1:n + 1]]).get(0, 0)
 
 
 def _partition(code: int, n: int) -> Partition:
@@ -327,7 +386,7 @@ def forest_type_counts(f: Graph) -> dict[Partition, int]:
     """For each partition, the number of edge subsets of that type.
 
     Forests only: there every subset of a given type has the same size, so
-    these counts are X_F's coefficients in absolute value, under the kernel's limit.
+    these counts are X_F's coefficients in absolute value, under the work limit.
     """
     if not is_forest(f):
         raise ValueError("forest_type_counts requires a forest")

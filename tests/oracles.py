@@ -10,7 +10,9 @@ every matching, and a component-tracking dynamic program that expands X_G for fo
 connected unicyclic graphs without touching 2^E subsets.  The DP lets the
 suite check CSF equality on glued pairs far beyond what the subset
 enumerator can reach in test time, and counts the state pairs its merges
-take, against which the package's up-front bound on its own DP is checked.  The collision search is redone the
+take, against which the package's up-front bound on its own DP is checked;
+the set-partition DP's steps are counted by brute force over vertex subsets,
+against that DP's bound.  The collision search is redone the
 earlier way: candidates deduplicated by canonical keys, then bucketed by the
 printed polynomial, and ``line_graph`` reads a printed ``search`` line back
 into its graph.  Triangle reduce is redone depth first, splitting every
@@ -339,6 +341,49 @@ def sparse_merge_pairs(g: Graph) -> tuple[int, int]:
     x, y = _skipped_edge(g.adjacency, _components(g.adjacency, parent)[0], parent)
     _rooted_states(g.with_edges_removed([g.index_of(x, y)]), x, y, pairs)
     return pairs[0], pairs[1]
+
+
+def set_partition_steps(g: Graph, codes: bool) -> int:
+    """Steps the set-partition DP of ``csfkit.csf`` takes on a connected g with
+    its vertices in breadth-first order from 0: one per independent subset of
+    B - min(B) that c's scan visits, for each connected B with no vertex but
+    min(B) of degree 1 in G[B], and, for each remaining set R and connected
+    B inside R holding min(R), one per size multiset (one value without
+    codes) that R's map holds, each found here by brute force over subsets."""
+    order = _components(g.adjacency, [-1] * g.vertex_count)[0]
+    k, index = len(order), {v: i for i, v in enumerate(order)}
+    nbr = [{index[w] for w in g.adjacency[v]} for v in order]
+
+    def connected(block: tuple[int, ...]) -> bool:
+        seen, stack = {block[0]}, [block[0]]
+        while stack:
+            for w in nbr[stack.pop()] & set(block):
+                if w not in seen:
+                    seen.add(w)
+                    stack.append(w)
+        return len(seen) == len(block)
+
+    steps = 0
+    for size in range(2, k + 1):
+        for block in filter(connected, combinations(range(k), size)):
+            if all(len(nbr[v] & set(block)) != 1 for v in block[1:]):
+                steps += sum(all(w not in nbr[v] for v, w in combinations(sub, 2))
+                             for r in range(size) for sub in combinations(block[1:], r))
+    pending = {tuple(range(k)): {()}}
+    while pending:
+        r = min(pending, key=lambda r: r[0])  # every set feeding R has a smaller least vertex
+        held = pending.pop(r)
+        for size in range(1, len(r) + 1):
+            for others in combinations(r[1:], size - 1):
+                block = (r[0],) + others
+                if not connected(block):
+                    continue
+                steps += len(held)
+                left = tuple(v for v in r if v not in block)
+                if left:
+                    pending.setdefault(left, set()).update(
+                        tuple(sorted(held_sizes + (size,))) if codes else () for held_sizes in held)
+    return steps
 
 
 # ---------------------------------------------------------------------------

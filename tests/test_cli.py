@@ -124,7 +124,7 @@ def test_csf_work_limit_exit_code(tmp_path, capsys, monkeypatch):
     assert code == 4
     assert out == ""
     assert err == ("error: the set-partition DP on a component of 21 vertices needs more than "
-                   "its limit of 4194304 set pairs\n")
+                   "the 4194304 steps left of the limit of 4194304\n")
 
 
 @pytest.mark.parametrize("text, message", [
@@ -359,7 +359,7 @@ def test_make_pair_refused_writes_no_files(tmp_path, capsys, monkeypatch):
     code, out, err = run(capsys, ["make-pair", p10, "0", p10, "0", "--out", prefix])
     assert (code, out) == (4, "")
     assert err == ("error: the tree DP on a component of 40 vertices may merge 11730539 state "
-                   "pairs, above the limit of 2097152\n")
+                   "pairs, 23461078 steps, more than the 4194304 steps left of the limit of 4194304\n")
     assert not os.path.exists(f"{prefix}_h.graph")
     assert not os.path.exists(f"{prefix}_j.graph")
 
@@ -606,3 +606,18 @@ def test_importing_cli_builds_no_parser():
                           timeout=120, env={**os.environ, "PYTHONPATH": SRC})
     assert proc.returncode == 0, proc.stderr
     assert proc.stdout == "0\n"
+
+
+@pytest.mark.parametrize("flags", [[], ["--chromatic", "3"]])
+def test_long_path_exits_4_under_a_600_mb_address_space(tmp_path, flags):
+    # the code table is built only after every component's bound has passed,
+    # so a 30,000-vertex path is refused before a table of 30,000 powers of 30,001
+    import resource
+    path = write_graph(tmp_path, "p30000.graph", Graph(30_000, tuple((v, v + 1) for v in range(29_999))))
+    env = {k: v for k, v in os.environ.items() if k != "CSFKIT_MAX_EDGES"}
+    proc = subprocess.run(
+        [sys.executable, "-m", "csfkit.cli", "csf", path, *flags],
+        capture_output=True, text=True, timeout=120, env={**env, "PYTHONPATH": SRC},
+        preexec_fn=lambda: resource.setrlimit(resource.RLIMIT_AS, (600 << 20, 600 << 20)))
+    assert (proc.returncode, proc.stdout) == (4, "")
+    assert proc.stderr.startswith("error: the tree DP on a component of 30000 vertices may merge ")

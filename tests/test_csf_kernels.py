@@ -23,14 +23,16 @@ from csfkit import (
     count_proper_colorings,
     enumerate_trees,
     enumerate_unicyclic,
+    extract_invariants,
     specialize,
+    structural_report,
 )
 from csfkit import csf
 from csfkit.csf import csf_codes, csf_value
 from csfkit.graph import _components
 
-from oracles import (cycle_vertices_by_stripping, relabelled, sparse_merge_pairs, subset_csf,
-                     unicyclic_canonical_key)
+from oracles import (cycle_vertices_by_stripping, relabelled, set_partition_steps, sparse_merge_pairs,
+                     subset_csf, unicyclic_canonical_key)
 
 
 def path(n: int) -> Graph:
@@ -185,7 +187,7 @@ def tree_dp_bound(g: Graph, codes: bool) -> int:
     """The tree DP's up-front bound on connected g, read off the refusal it
     gives when its limit is below every bound."""
     with pytest.MonkeyPatch.context() as patch:
-        patch.setattr(csf, "STATE_PAIR_LIMIT", -1)
+        patch.setattr(csf, "WORK_LIMIT", -1)
         with pytest.raises(ResourceLimitError) as info:
             csf_codes(g) if codes else csf_value(g, [1] * (g.vertex_count + 1))
     return int(re.search(r"may merge (\d+) state pairs", str(info.value)).group(1))
@@ -203,7 +205,7 @@ def test_tree_dp_bound_covers_its_merge_work():
 
 def test_tree_dp_bound_is_exact_on_paths_from_an_end():
     # partitions are counted for sizes below 64 only, whose bound is past the limit
-    assert sum(csf._partition_counts()) > csf.STATE_PAIR_LIMIT
+    assert sum(csf._partition_counts()) > csf.WORK_LIMIT
     # every size multiset of a path's closed segments occurs
     for n in range(1, 21):
         p = Graph(n, tuple((v, v + 1) for v in range(n - 1)))
@@ -247,3 +249,79 @@ def test_product_of_components_is_refused_above_the_pair_limit():
         csf_codes(two)
     assert csf_value(two, [2] * 61) == 4  # two 2-colourings of each path
 
+
+def cycle(n: int, *chords: tuple[int, int]) -> Graph:
+    return Graph(n, tuple(sorted(((0, n - 1),) + tuple((v, v + 1) for v in range(n - 1)) + chords)))
+
+
+def set_partition_bound(g: Graph, codes: bool) -> int:
+    """The set-partition DP's bound on connected g, in the order the kernel uses."""
+    order = _components(g.adjacency, [-1] * g.vertex_count)[0]
+    return csf._set_partition_dp(order, g.adjacency, codes, csf.WORK_LIMIT)[0]
+
+
+def test_set_partition_bound_covers_its_steps():
+    rng = random.Random(19)
+    graphs = [Graph(n, tuple(combinations(range(n), 2))) for n in range(3, 8)]
+    graphs += [cycle(n, (0, n // 2)) for n in (5, 8)]
+    while len(graphs) < 40:
+        n = rng.randint(4, 8)
+        pairs = list(combinations(range(n), 2))
+        g = Graph(n, tuple(sorted(rng.sample(pairs, rng.randint(n + 1, len(pairs))))))
+        if len(_components(g.adjacency, [-1] * n)) == 1:
+            graphs.append(g)
+    for g in graphs:
+        for codes in (True, False):
+            assert set_partition_bound(g, codes) >= set_partition_steps(g, codes), (g, codes)
+
+
+def grid(rows: int, cols: int) -> Graph:
+    right = tuple((r * cols + c, r * cols + c + 1) for r in range(rows) for c in range(cols - 1))
+    down = tuple((r * cols + c, r * cols + c + cols) for r in range(rows - 1) for c in range(cols))
+    return Graph(rows * cols, tuple(sorted(right + down)))
+
+
+def test_sparse_graphs_past_30_edges_run_by_default():
+    # two 10-cycles sharing the chord 0-9: P(C10)^2 / (k (k - 1)) colourings
+    theta = cycle(18, (0, 9))
+    assert csf_value(theta, [3] * 19) == (2 ** 10 + 2) ** 2 // 6
+    for g in (theta, grid(4, 4)):
+        x = chromatic_symmetric_function(g)
+        assert specialize(x, 3) == csf_value(g, [3] * (g.vertex_count + 1))
+        report = extract_invariants(x)
+        assert (report.edge_count, report.triangle_count) == (g.edge_count, 0)
+        assert report.matching_counts == structural_report(g).matching_counts
+
+
+def test_components_share_one_work_limit():
+    # each P40 is within the limit on its own and takes about 2 s; three are
+    # refused before any of them runs
+    three = Graph(120, tuple((v, v + 1) for v in range(119) if v % 40 != 39))
+    start = time.perf_counter()
+    with pytest.raises(ResourceLimitError, match="component of 40 vertices may merge"):
+        csf_codes(three)
+    assert time.perf_counter() - start < 1.0
+    # 50 paths of 2,000 vertices: the second brings the sum past the limit
+    paths = Graph(100_000, tuple((v, v + 1) for v in range(99_999) if v % 2000 != 1999))
+    start = time.perf_counter()
+    with pytest.raises(ResourceLimitError, match="component of 2000 vertices may merge"):
+        csf_value(paths, [3] * 100_001)
+    assert time.perf_counter() - start < 1.0
+    # 1,100 P3: each product is small, and their sum is refused
+    p3s = Graph(3300, tuple((v, v + 1) for v in range(3299) if v % 3 != 2))
+    with pytest.raises(ResourceLimitError, match="multiplying"):
+        csf_codes(p3s)
+
+
+def test_large_sparse_dense_kernel_component_refused_before_allocating():
+    n = 20_000  # a cycle with two chords: cyclomatic number 3
+    g = cycle(n, (0, n // 2), (1, n // 3))
+    assert g.adjacency  # built before tracing: the kernel's per-vertex masks would be 50 MB
+    tracemalloc.start()
+    try:
+        with pytest.raises(ResourceLimitError, match=f"set-partition DP on a component of {n} vertices"):
+            csf_codes(g)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 1_000_000
