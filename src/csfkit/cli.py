@@ -3,10 +3,10 @@
 Subcommands: csf, equal, decompose, make-pair, theta, reconstruct, search.
 Exit codes: 0 success (or EQUAL), 1 polynomials differ, 2 usage error,
 3 data error, 4 resource limit.  All stdout output is deterministic;
-timing diagnostics go to stderr.  CSFKIT_MAX_EDGES sets an edge cap on CSF
-computations, checked before the CSF kernels' work bounds; unset, no cap.
+timing diagnostics go to stderr.  The only limits are the fixed work limits
+of the layers underneath; none is set from the command line or environment.
 ``main`` may be called many times in one process: the parser is built on the
-first call, and CSFKIT_MAX_EDGES is read again by every command.
+first call and shared after it.
 """
 
 from __future__ import annotations
@@ -14,7 +14,6 @@ from __future__ import annotations
 import argparse
 import functools
 import hashlib
-import os
 import sys
 
 from .csf import PowerSumPolynomial, chromatic_symmetric_function, csf_codes, csf_value, first_difference
@@ -25,17 +24,6 @@ from .partitions import partition_key
 from .rewrite import path_split, reduce_triangle_free, triangle_split, wedge_split
 from .search import run_search
 from .treedata import ThetaTable, reconstruct_from_pairs, reconstruct_from_theta, theta_tables
-
-
-def _enumeration_cap(explicit: int | None = None) -> int | None:
-    if explicit is not None:
-        if explicit < 0:
-            raise CsfkitError(f"--max-edges must be a nonnegative integer, got {explicit}")
-        return explicit
-    env = os.environ.get("CSFKIT_MAX_EDGES")
-    if env and not env.strip().isdecimal():
-        raise CsfkitError(f"CSFKIT_MAX_EDGES must be a nonnegative integer, got {env!r}")
-    return int(env) if env else None
 
 
 def _load_graph(path: str) -> Graph:
@@ -55,18 +43,17 @@ def _write_text(path: str, text: str) -> None:
 def cmd_csf(args) -> int:
     g, k = _load_graph(args.input), args.chromatic
     if k is None:
-        print(chromatic_symmetric_function(g, max_edges=_enumeration_cap()).to_text(), end="")
+        print(chromatic_symmetric_function(g).to_text(), end="")
     elif k < 0:
         raise ValueError("k must be nonnegative")
     else:  # every p_s becomes k
-        print(csf_value(g, [k] * (g.vertex_count + 1), max_edges=_enumeration_cap()))
+        print(csf_value(g, [k] * (g.vertex_count + 1)))
     return 0
 
 
 def cmd_equal(args) -> int:
-    g, h, cap = _load_graph(args.file_a), _load_graph(args.file_b), _enumeration_cap()
-    diff = first_difference(chromatic_symmetric_function(g, max_edges=cap),
-                            chromatic_symmetric_function(h, max_edges=cap))
+    g, h = _load_graph(args.file_a), _load_graph(args.file_b)
+    diff = first_difference(chromatic_symmetric_function(g), chromatic_symmetric_function(h))
     if diff is None:
         print("EQUAL")
         return 0
@@ -112,9 +99,8 @@ def cmd_make_pair(args) -> int:
     t1 = RootedTree(_load_graph(args.tree1), args.root1)
     t2 = RootedTree(_load_graph(args.tree2), args.root2)
     h, j = glue_rooted_trees(t1, t2)
-    cap = _enumeration_cap()
-    codes = csf_codes(h, max_edges=cap)
-    if csf_codes(j, max_edges=cap) != codes:
+    codes = csf_codes(h)
+    if csf_codes(j) != codes:
         raise AssertionError("glued pair disagrees; this is a bug")
     path_h = f"{args.out}_h.graph"
     path_j = f"{args.out}_j.graph"
@@ -149,7 +135,7 @@ def cmd_reconstruct(args) -> int:
 
 
 def cmd_search(args) -> int:
-    report = run_search(args.n, args.graph_class, _enumeration_cap(args.max_edges))
+    report = run_search(args.n, args.graph_class)
     print(f"search class={report.graph_class} n={report.n}")
     print(f"graphs={report.graph_count}")
     print(f"collision-groups={len(report.groups)}")
@@ -176,9 +162,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("csf", help="power-sum expansion or chromatic polynomial value")
     p.add_argument("input", help="edge-list file")
-    mode = p.add_mutually_exclusive_group()
-    mode.add_argument("--poly", action="store_true", help="print the polynomial (default)")
-    mode.add_argument("--chromatic", type=int, metavar="K", help="print the k-coloring count")
+    p.add_argument("--chromatic", type=int, metavar="K", help="print the k-coloring count")
 
     p = sub.add_parser("equal", help="compare the CSFs of two graphs")
     p.add_argument("file_a")
@@ -210,7 +194,6 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--n", type=int, required=True)
     p.add_argument("--class", dest="graph_class", required=True,
                    choices=["tree", "unicyclic"])
-    p.add_argument("--max-edges", type=int, default=None)
 
     return parser
 

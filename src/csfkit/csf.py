@@ -14,11 +14,10 @@ size and all-one multipliers, so a code is a size multiset and merging two is
 an addition; ``csf_value`` passes zero codes and a table of weights, so each
 kernel keeps one state where ``csf_codes`` keeps one per size multiset and
 returns X_G with every p_s replaced by weights[s].  Coefficients are exact
-Python ints.  An edge cap, if given (none by default), is checked first.
-Then one work total runs over the graph, refused above ``WORK_LIMIT``: each
-component's kernel adds its bound on its own work before any kernel runs,
-and each product of two components' terms adds its term pairs before it is
-taken.
+Python ints.  The one limit is a work total over the graph, refused above
+``WORK_LIMIT``: each component's kernel adds its bound on its own work before
+any kernel runs, and each product of two components' terms adds its term
+pairs before it is taken.
 """
 
 from __future__ import annotations
@@ -289,19 +288,17 @@ def _set_partition_dp(order: list[int], adj, codes: bool, budget: int):
     return work, run
 
 
-def _expansion(g: Graph, max_edges: int | None, weights: list[int] | None) -> dict[int, int]:
-    """X_G as {code: coefficient}, after the edge cap if any.  With weights
-    None each closed part of size s adds (n+1)^(s-1) to the code; otherwise
-    every code is 0 and the part multiplies by weights[s] (weights[0] = 1).
+def _expansion(g: Graph, weights: list[int] | None) -> dict[int, int]:
+    """X_G as {code: coefficient}.  With weights None each closed part of
+    size s adds (n+1)^(s-1) to the code; otherwise every code is 0 and the
+    part multiplies by weights[s] (weights[0] = 1).
 
     One breadth-first pass gives each component's vertices in order, its
     cyclomatic number r and, for r = 1, the edge to drop: the one it skipped.
     Every component's kernel bounds its work before any kernel runs, and the
     code table is built after that, for parts up to the largest component.
     """
-    n, m, adj = g.vertex_count, g.edge_count, g.adjacency
-    if max_edges is not None and m > max_edges:
-        raise ResourceLimitError(f"graph has {m} edges, above the enumeration cap of {max_edges}")
+    n, adj = g.vertex_count, g.adjacency
     codes, parent, work, runs, longest = weights is None, [-1] * n, 0, [], 0
     for comp in _components(adj, parent):
         r = sum(len(adj[v]) for v in comp) // 2 - len(comp) + 1
@@ -338,7 +335,7 @@ def _expansion(g: Graph, max_edges: int | None, weights: list[int] | None) -> di
     return total
 
 
-def csf_codes(g: Graph, max_edges: int | None = None) -> dict[int, int]:
+def csf_codes(g: Graph) -> dict[int, int]:
     """Exact nonzero terms of X_G as {size code: coefficient}.
 
     A code holds one base-(n+1) digit per part size, digit s - 1 counting the
@@ -346,10 +343,10 @@ def csf_codes(g: Graph, max_edges: int | None = None) -> dict[int, int]:
     exactly when their functions are equal, and codes order as their
     partitions do, lexicographically.
     """
-    return {code: coeff for code, coeff in _expansion(g, max_edges, None).items() if coeff}
+    return {code: coeff for code, coeff in _expansion(g, None).items() if coeff}
 
 
-def csf_value(g: Graph, weights: list[int], max_edges: int | None = None) -> int:
+def csf_value(g: Graph, weights: list[int]) -> int:
     """X_G with each p_s replaced by weights[s] (s = 1..n), exactly.
 
     The kernels run with every part code zero, so each keeps one state where
@@ -360,7 +357,7 @@ def csf_value(g: Graph, weights: list[int], max_edges: int | None = None) -> int
     n = g.vertex_count
     if len(weights) <= n:
         raise ValueError(f"need weights for part sizes 1..{n}, got {len(weights)} entries")
-    return _expansion(g, max_edges, [1, *weights[1:n + 1]]).get(0, 0)
+    return _expansion(g, [1, *weights[1:n + 1]]).get(0, 0)
 
 
 def _partition(code: int, n: int) -> Partition:
@@ -377,9 +374,9 @@ def _partition(code: int, n: int) -> Partition:
     return tuple(parts)
 
 
-def chromatic_symmetric_function(g: Graph, max_edges: int | None = None) -> PowerSumPolynomial:
+def chromatic_symmetric_function(g: Graph) -> PowerSumPolynomial:
     """Exact power-sum expansion of X_G, one structured kernel per component."""
-    return PowerSumPolynomial.from_codes(g.vertex_count, csf_codes(g, max_edges))
+    return PowerSumPolynomial.from_codes(g.vertex_count, csf_codes(g))
 
 
 def forest_type_counts(f: Graph) -> dict[Partition, int]:

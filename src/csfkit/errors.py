@@ -19,7 +19,7 @@ class NotATreeError(CsfkitError, ValueError):
 
 
 class ResourceLimitError(CsfkitError, RuntimeError):
-    """An enumeration would exceed the configured resource budget."""
+    """An enumeration would exceed a fixed work limit."""
 
 
 class InconsistentDataError(CsfkitError, ValueError):

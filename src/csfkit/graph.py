@@ -105,7 +105,7 @@ def parse_graph(text: str) -> Graph:
     n, m = int(head[0]), int(head[1])
     if n > MAX_VERTICES:
         raise ResourceLimitError(f"line 1: {n} vertices, above the limit of {MAX_VERTICES}")
-    body = [ln for ln in lines[1:]]
+    body = lines[1:]
     if len(body) < m:
         raise GraphParseError(f"line {len(lines) + 1}: expected {m} edge lines, got {len(body)}")
     if len(body) > m and any(ln.strip() for ln in body[m:]):

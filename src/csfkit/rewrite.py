@@ -148,7 +148,7 @@ def reduce_triangle_free(g: Graph) -> GraphCombination:
     return GraphCombination(tuple(terms))
 
 
-def combination_csf(c: GraphCombination, max_edges: int | None = None) -> PowerSumPolynomial:
+def combination_csf(c: GraphCombination) -> PowerSumPolynomial:
     """Signed sum of member CSFs; members must share one vertex count."""
     if not c.terms:
         raise ValueError("empty combination has no well-defined degree")
@@ -157,7 +157,7 @@ def combination_csf(c: GraphCombination, max_edges: int | None = None) -> PowerS
         raise ValueError("combination mixes vertex counts")
     total: dict[Partition, int] = {}
     for coeff, g in c.terms:
-        x = chromatic_symmetric_function(g, max_edges=max_edges)
+        x = chromatic_symmetric_function(g)
         for p, value in x.terms.items():
             total[p] = total.get(p, 0) + coeff * value
     return PowerSumPolynomial(n, {p: v for p, v in total.items() if v})

@@ -78,16 +78,11 @@ def _point(n: int) -> list[int]:
     return [(0x9E3779B97F4A7C15 * (s + 1)) % (1 << 61) | 1 for s in range(n + 1)]
 
 
-def run_search(n: int, graph_class: str, max_edges: int | None) -> CollisionReport:
+def run_search(n: int, graph_class: str) -> CollisionReport:
     """Group the graphs of one class and order by exact equality of X_G."""
     start = time.monotonic()
     if graph_class not in ("tree", "unicyclic"):
         raise ValueError(f"unknown graph class {graph_class!r}")
-    needed = n - 1 if graph_class == "tree" else n
-    if max_edges is not None and needed > max_edges:
-        raise ResourceLimitError(
-            f"{graph_class} search at n={n} needs {needed}-edge enumerations, cap is {max_edges}"
-        )
     work = search_work(n, graph_class)
     if work > SEARCH_WORK_LIMIT:
         raise ResourceLimitError(
@@ -96,7 +91,7 @@ def run_search(n: int, graph_class: str, max_edges: int | None) -> CollisionRepo
         )
     graphs = enumerate_trees if graph_class == "tree" else enumerate_unicyclic
     point = _point(n)
-    hashes = array("q", (hash(csf_value(g, point, max_edges)) for g in graphs(n)))
+    hashes = array("q", (hash(csf_value(g, point)) for g in graphs(n)))
     seen, shared = set(), set()
     for h in hashes:
         (shared if h in seen else seen).add(h)
@@ -105,7 +100,7 @@ def run_search(n: int, graph_class: str, max_edges: int | None) -> CollisionRepo
         last = next(i for i in reversed(range(len(hashes))) if hashes[i] in shared)
         for h, g in zip(hashes[:last + 1], graphs(n)):
             if h in shared:
-                exact.setdefault(frozenset(csf_codes(g, max_edges).items()), []).append(_graph_line(g))
+                exact.setdefault(frozenset(csf_codes(g).items()), []).append(_graph_line(g))
     return CollisionReport(
         n=n,
         graph_class=graph_class,

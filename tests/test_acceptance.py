@@ -232,7 +232,7 @@ def test_criterion_09_tree_search_clean_up_to_12():
     start = time.monotonic()
     totals = {}
     for n in range(1, 13):
-        rep = run_search(n, "tree", 30)
+        rep = run_search(n, "tree")
         assert rep.groups == ()
         totals[n] = rep.graph_count
     elapsed = time.monotonic() - start

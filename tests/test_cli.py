@@ -47,6 +47,10 @@ def write_graph(tmp_path, name, g: Graph) -> str:
     return str(path)
 
 
+def path_graph(n: int) -> Graph:
+    return Graph(n, tuple((v, v + 1) for v in range(n - 1)))
+
+
 def run(capsys, argv):
     code = main(argv)
     captured = capsys.readouterr()
@@ -76,20 +80,22 @@ def test_csf_chromatic_equals_brute_force_colorings(tmp_path, capsys, g):
         assert (code, out) == (0, f"{count_proper_colorings(g, k)}\n")
 
 
-def test_csf_chromatic_errors(tmp_path, capsys, monkeypatch):
+def test_csf_chromatic_errors(tmp_path, capsys):
     path = write_graph(tmp_path, "c6.graph", COLLISION_LEFT6)
     code, out, err = run(capsys, ["csf", path, "--chromatic", "-1"])
     assert (code, out) == (3, "")
     assert "nonnegative" in err
-    monkeypatch.setenv("CSFKIT_MAX_EDGES", "3")
+    # --chromatic runs paths of thousands of vertices; K16's set-partition DP is refused
+    path = write_graph(tmp_path, "k16.graph", Graph(16, tuple(combinations(range(16), 2))))
     code, out, err = run(capsys, ["csf", path, "--chromatic", "3"])
     assert (code, out) == (4, "")
-    assert "cap" in err
+    assert err == ("error: the set-partition DP on a component of 16 vertices needs more than "
+                   "the 4194304 steps left of the limit of 4194304\n")
 
 
 def test_csf_poly_k2(tmp_path, capsys):
     path = write_graph(tmp_path, "k2.graph", Graph(2, ((0, 1),)))
-    code, out, _ = run(capsys, ["csf", path, "--poly"])
+    code, out, _ = run(capsys, ["csf", path])
     assert code == 0
     assert out == "csf n=2\n2 -1\n1,1 1\n"
 
@@ -109,16 +115,15 @@ def test_csf_parse_error_exit_code(tmp_path, capsys):
     assert "line 3" in err
 
 
-def test_csf_resource_limit_exit_code(tmp_path, capsys, monkeypatch):
-    monkeypatch.setenv("CSFKIT_MAX_EDGES", "3")
-    path = write_graph(tmp_path, "c6.graph", COLLISION_LEFT6)
-    code, _, err = run(capsys, ["csf", path])
-    assert code == 4
-    assert "cap" in err
+def test_csf_resource_limit_exit_code(tmp_path, capsys):
+    path = write_graph(tmp_path, "p70.graph", path_graph(70))
+    code, out, err = run(capsys, ["csf", path])
+    assert (code, out) == (4, "")
+    assert err == ("error: the tree DP on a component of 70 vertices may merge 123874183 state "
+                   "pairs, 247748366 steps, more than the 4194304 steps left of the limit of 4194304\n")
 
 
-def test_csf_work_limit_exit_code(tmp_path, capsys, monkeypatch):
-    monkeypatch.setenv("CSFKIT_MAX_EDGES", "1000")  # past the edge cap, onto the kernel's limit
+def test_csf_work_limit_exit_code(tmp_path, capsys):
     path = write_graph(tmp_path, "k21.graph", Graph(21, tuple(combinations(range(21), 2))))
     code, out, err = run(capsys, ["csf", path])
     assert code == 4
@@ -129,12 +134,10 @@ def test_csf_work_limit_exit_code(tmp_path, capsys, monkeypatch):
 
 @pytest.mark.parametrize("text, message", [
     ("100000000 0\n", "error: line 1: 100000000 vertices, above the limit of 100000\n"),
-    (Graph(70, tuple((v, v + 1) for v in range(69))).to_text(),
-     "error: the tree DP on a component of 70 vertices may merge "),
+    (path_graph(70).to_text(), "error: the tree DP on a component of 70 vertices may merge "),
 ])
-def test_oversized_csf_input_exits_4_at_once(tmp_path, capsys, monkeypatch, text, message):
-    # no edge cap by default: the vertex limit and the kernel's bound refuse these
-    monkeypatch.delenv("CSFKIT_MAX_EDGES", raising=False)
+def test_oversized_csf_input_exits_4_at_once(tmp_path, capsys, text, message):
+    # the vertex limit and the kernel's bound refuse these
     path = tmp_path / "big.graph"
     path.write_text(text, encoding="ascii")
     start = time.monotonic()
@@ -144,25 +147,24 @@ def test_oversized_csf_input_exits_4_at_once(tmp_path, capsys, monkeypatch, text
     assert time.monotonic() - start < 1.0
 
 
-def test_csf_runs_past_30_edges_by_default(tmp_path, capsys, monkeypatch):
-    monkeypatch.delenv("CSFKIT_MAX_EDGES", raising=False)
-    p40 = Graph(40, tuple((v, v + 1) for v in range(39)))
-    path = write_graph(tmp_path, "p40.graph", p40)
+def test_csf_runs_past_30_edges_by_default(tmp_path, capsys):
+    path = write_graph(tmp_path, "p40.graph", path_graph(40))
     code, out, _ = run(capsys, ["csf", path, "--chromatic", "3"])
     assert (code, out) == (0, f"{3 * 2 ** 39}\n")
-    monkeypatch.setenv("CSFKIT_MAX_EDGES", "30")
-    code, out, err = run(capsys, ["csf", path, "--chromatic", "3"])
-    assert (code, out, err) == (4, "", "error: graph has 39 edges, above the enumeration cap of 30\n")
 
 
-@pytest.mark.parametrize("value", ["abc", "-1"])
-def test_malformed_max_edges_env_is_a_data_error(tmp_path, capsys, monkeypatch, value):
-    monkeypatch.setenv("CSFKIT_MAX_EDGES", value)
-    path = write_graph(tmp_path, "c6.graph", COLLISION_LEFT6)
-    code, out, err = run(capsys, ["csf", path])
-    assert code == 3
-    assert out == ""
-    assert "CSFKIT_MAX_EDGES" in err and repr(value) in err
+def test_no_limit_is_set_from_flags_or_environment(tmp_path, capsys, monkeypatch):
+    c6 = write_graph(tmp_path, "c6.graph", Graph(6, path_graph(6).edges + ((0, 5),)))
+    for argv in (["csf", c6, "--poly"], ["search", "--class", "tree", "--n", "4", "--max-edges", "5"]):
+        with pytest.raises(SystemExit) as info:
+            main(argv)
+        assert info.value.code == 2
+        assert capsys.readouterr().out == ""
+    monkeypatch.delenv("CSFKIT_MAX_EDGES", raising=False)
+    unset = run(capsys, ["csf", c6])
+    assert unset[0] == 0
+    monkeypatch.setenv("CSFKIT_MAX_EDGES", "3")
+    assert run(capsys, ["csf", c6])[:2] == unset[:2]
 
 
 def test_usage_error_exit_code(tmp_path):
@@ -350,8 +352,7 @@ def test_make_pair_identical_inputs_still_equal(tmp_path, capsys):
     assert code == 0
 
 
-def test_make_pair_refused_writes_no_files(tmp_path, capsys, monkeypatch):
-    monkeypatch.delenv("CSFKIT_MAX_EDGES", raising=False)
+def test_make_pair_refused_writes_no_files(tmp_path, capsys):
     # Two 10-vertex paths glued at an end make a 40-vertex unicyclic graph whose
     # kernel bound is above its limit.
     p10 = write_graph(tmp_path, "p10.graph", Graph(10, tuple((i, i + 1) for i in range(9))))
@@ -384,7 +385,7 @@ def test_theta_then_reconstruct_roundtrip(tmp_path, capsys):
 
 
 def test_oversized_cut_tables_exit_4_before_any_image(tmp_path, capsys):
-    p3000 = write_graph(tmp_path, "p3000.graph", Graph(3000, tuple((v, v + 1) for v in range(2999))))
+    p3000 = write_graph(tmp_path, "p3000.graph", path_graph(3000))
     table = tmp_path / "big.theta"
     # pair lines after the header are never read: the header alone is refused
     table.write_text("theta n=3000 m=2999\nnot a pair line\n", encoding="ascii")
@@ -463,12 +464,6 @@ def test_reconstruct_full_table_requires_singletons(tmp_path, capsys):
 # search
 
 
-def test_search_negative_max_edges_is_a_data_error(capsys):
-    code, out, err = run(capsys, ["search", "--class", "tree", "--n", "3", "--max-edges", "-1"])
-    assert (code, out) == (3, "")
-    assert "--max-edges" in err and "-1" in err
-
-
 def test_search_trees_small(capsys):
     code, out, err = run(capsys, ["search", "--n", "4", "--class", "tree"])
     assert code == 0
@@ -478,13 +473,13 @@ def test_search_trees_small(capsys):
 
 
 def test_search_tree_fingerprints_distinguish_path_and_star():
-    report = run_search(4, "tree", 30)
+    report = run_search(4, "tree")
     assert report.graph_count == 2
     assert not report.groups
 
 
 def test_search_unicyclic_finds_collision_pair(capsys):
-    report = run_search(6, "unicyclic", 30)
+    report = run_search(6, "unicyclic")
     assert report.groups
     left_line = f"6 6 " + " ".join(f"{u}-{v}" for u, v in COLLISION_LEFT6.edges)
     keys = {unicyclic_canonical_key(COLLISION_LEFT6),
@@ -514,15 +509,13 @@ def test_search_determinism(capsys):
 
 
 def test_search_resource_limit(capsys):
-    code, _, err = run(capsys, ["search", "--n", "40", "--class", "tree",
-                                "--max-edges", "10"])
-    assert code == 4
-    assert "cap" in err
+    code, out, err = run(capsys, ["search", "--n", "40", "--class", "tree"])
+    assert (code, out) == (4, "")
+    assert err == "error: tree search at n=40 visits at least 317955 candidates, above the limit of 262144\n"
 
 
 @pytest.mark.parametrize("graph_class, n", [("tree", 31), ("unicyclic", 30)])
 def test_search_refuses_oversized_class_up_front(capsys, graph_class, n):
-    # there is no edge cap by default; the candidate count is what refuses them
     start = time.monotonic()
     code, out, err = run(capsys, ["search", "--class", graph_class, "--n", str(n)])
     assert code == 4
@@ -559,15 +552,15 @@ def run_fresh(argv, env):
 
 def test_repeated_main_calls_match_fresh_calls_and_share_one_parser(tmp_path, capsys, monkeypatch):
     monkeypatch.setenv("COLUMNS", "80")
-    monkeypatch.delenv("CSFKIT_MAX_EDGES", raising=False)
     a = write_graph(tmp_path, "a.graph", COLLISION_LEFT6)
     b = write_graph(tmp_path, "b.graph", COLLISION_RIGHT6)
+    p70 = write_graph(tmp_path, "p70.graph", path_graph(70))
     calls = [
-        (["csf", a], None, 0),
-        (["csf"], None, 2),
-        (["equal", a, b], None, 0),
-        (["csf", a], "3", 4),
-        (["csf", a], None, 0),
+        (["csf", a], 0),
+        (["csf"], 2),
+        (["equal", a, b], 0),
+        (["csf", p70], 4),
+        (["csf", a], 0),
     ]
     parsers = []
     parse_args = argparse.ArgumentParser.parse_args
@@ -577,11 +570,7 @@ def test_repeated_main_calls_match_fresh_calls_and_share_one_parser(tmp_path, ca
         return parse_args(self, *args, **kwargs)
 
     monkeypatch.setattr(argparse.ArgumentParser, "parse_args", recording_parse_args)
-    for argv, max_edges, want_code in calls:
-        if max_edges is None:
-            monkeypatch.delenv("CSFKIT_MAX_EDGES", raising=False)
-        else:
-            monkeypatch.setenv("CSFKIT_MAX_EDGES", max_edges)
+    for argv, want_code in calls:
         try:
             code = main(argv)
         except SystemExit as exc:
@@ -613,11 +602,10 @@ def test_long_path_exits_4_under_a_600_mb_address_space(tmp_path, flags):
     # the code table is built only after every component's bound has passed,
     # so a 30,000-vertex path is refused before a table of 30,000 powers of 30,001
     import resource
-    path = write_graph(tmp_path, "p30000.graph", Graph(30_000, tuple((v, v + 1) for v in range(29_999))))
-    env = {k: v for k, v in os.environ.items() if k != "CSFKIT_MAX_EDGES"}
+    path = write_graph(tmp_path, "p30000.graph", path_graph(30_000))
     proc = subprocess.run(
         [sys.executable, "-m", "csfkit.cli", "csf", path, *flags],
-        capture_output=True, text=True, timeout=120, env={**env, "PYTHONPATH": SRC},
+        capture_output=True, text=True, timeout=120, env={**os.environ, "PYTHONPATH": SRC},
         preexec_fn=lambda: resource.setrlimit(resource.RLIMIT_AS, (600 << 20, 600 << 20)))
     assert (proc.returncode, proc.stdout) == (4, "")
     assert proc.stderr.startswith("error: the tree DP on a component of 30000 vertices may merge ")

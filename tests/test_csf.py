@@ -95,14 +95,6 @@ def test_forest_sign_coherence():
                 assert coeff * (-1) ** (n - len(p)) > 0
 
 
-def test_edge_cap_enforced():
-    big = Graph(8, tuple(combinations(range(8), 2)))  # 28 edges
-    with pytest.raises(ResourceLimitError):
-        chromatic_symmetric_function(big, max_edges=10)
-    # zero-edge graphs are always fine
-    chromatic_symmetric_function(Graph(3, ()), max_edges=0)
-
-
 # ---------------------------------------------------------------------------
 # specialization vs brute-force coloring
 

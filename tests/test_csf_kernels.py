@@ -151,7 +151,7 @@ def test_dense_component_refused_before_any_work():
     start = time.perf_counter()
     try:
         with pytest.raises(ResourceLimitError, match="set-partition DP on a component of 24 vertices"):
-            chromatic_symmetric_function(k24, max_edges=1000)
+            chromatic_symmetric_function(k24)
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
@@ -176,11 +176,9 @@ def test_value_refuses_short_weights_and_keeps_the_limits():
     with pytest.raises(ValueError, match="weights"):
         csf_value(Graph(3, ((0, 1),)), [1, 1, 1])
     assert csf_value(Graph(0, ()), [5]) == 1
-    with pytest.raises(ResourceLimitError, match="cap"):
-        csf_value(Graph(3, ((0, 1), (1, 2))), [1] * 4, max_edges=1)
     k24 = Graph(24, tuple(combinations(range(24), 2)))
     with pytest.raises(ResourceLimitError, match="set-partition DP on a component of 24 vertices"):
-        csf_value(k24, [1] * 25, max_edges=1000)
+        csf_value(k24, [1] * 25)
 
 
 def tree_dp_bound(g: Graph, codes: bool) -> int:
@@ -238,7 +236,7 @@ def test_oversized_components_are_refused_before_any_work():
     assert_refused_at_once(lambda: csf_codes(path(45)), "tree DP on a component of 45 vertices")
     for k in (16, 24):
         clique = Graph(k, tuple(combinations(range(k), 2)))
-        assert_refused_at_once(lambda: csf_codes(clique, max_edges=1000),
+        assert_refused_at_once(lambda: csf_codes(clique),
                                f"set-partition DP on a component of {k} vertices")
 
 

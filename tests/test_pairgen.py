@@ -178,7 +178,7 @@ def test_glued_pairs_up_to_order_12_share_a_search_group():
             n = 2 * (a + b)
             if n not in groups:
                 groups[n] = [{unicyclic_canonical_key(line_graph(line)) for line in group}
-                             for group in search.run_search(n, "unicyclic", 30).groups]
+                             for group in search.run_search(n, "unicyclic").groups]
                 explained[n] = set()
             for t1 in rooted[a]:
                 for t2 in rooted[b]:

@@ -52,7 +52,7 @@ def _key_groups(groups, key):
 def test_search_groups_match_the_text_fingerprint_route(graph_class, orders, key, total):
     found = 0
     for n in orders:
-        report = run_search(n, graph_class, 30)
+        report = run_search(n, graph_class)
         got = [[line_graph(line) for line in group] for group in report.groups]
         want = _key_groups(text_fingerprint_groups(n, graph_class), key)
         assert _key_groups(got, key) == want
@@ -61,22 +61,22 @@ def test_search_groups_match_the_text_fingerprint_route(graph_class, orders, key
 
 
 def test_groups_do_not_rest_on_the_hash(monkeypatch):
-    expected = {n: run_search(n, "unicyclic", 30).groups for n in (6, 8)}
+    expected = {n: run_search(n, "unicyclic").groups for n in (6, 8)}
     monkeypatch.setattr(search, "hash", lambda _: 0, raising=False)  # one bucket for all
     for n, groups in expected.items():
-        assert run_search(n, "unicyclic", 30).groups == groups
-    assert run_search(9, "tree", 30).groups == ()
+        assert run_search(n, "unicyclic").groups == groups
+    assert run_search(9, "tree").groups == ()
 
 
 def test_groups_do_not_depend_on_the_point(monkeypatch):
-    expected = {(n, "unicyclic"): run_search(n, "unicyclic", 30).groups for n in (6, 8, 10)}
+    expected = {(n, "unicyclic"): run_search(n, "unicyclic").groups for n in (6, 8, 10)}
     expected[9, "tree"] = ()
     # p_s -> 1 is the chromatic polynomial at 1, zero for every graph with an edge
     monkeypatch.setattr(search, "_point", lambda n: [1] * (n + 1))
     for (n, graph_class), groups in expected.items():
         graphs = enumerate_trees(n) if graph_class == "tree" else enumerate_unicyclic(n)
         assert {search.csf_value(g, [1] * (n + 1)) for g in graphs} == {0}
-        assert run_search(n, graph_class, 30).groups == groups
+        assert run_search(n, graph_class).groups == groups
 
 
 def test_second_enumeration_only_when_a_hash_repeats(monkeypatch):
@@ -84,16 +84,16 @@ def test_second_enumeration_only_when_a_hash_repeats(monkeypatch):
     for name in ("enumerate_trees", "enumerate_unicyclic"):
         monkeypatch.setattr(search, name, lambda n, real=getattr(search, name), name=name:
                             calls.append(name) or real(n))
-    assert run_search(10, "tree", 30).groups == ()
+    assert run_search(10, "tree").groups == ()
     assert calls == ["enumerate_trees"]
     calls.clear()
-    assert len(run_search(8, "unicyclic", 30).groups) == 2
+    assert len(run_search(8, "unicyclic").groups) == 2
     assert calls == ["enumerate_unicyclic"] * 2
 
 
 def test_second_enumeration_stops_at_the_last_repeated_hash(monkeypatch):
     point = search._point(8)
-    hashes = [hash(search.csf_value(g, point, 30)) for g in enumerate_unicyclic(8)]
+    hashes = [hash(search.csf_value(g, point)) for g in enumerate_unicyclic(8)]
     last = max(i for i, h in enumerate(hashes) if hashes.count(h) > 1)
     drawn = []
 
@@ -104,7 +104,7 @@ def test_second_enumeration_stops_at_the_last_repeated_hash(monkeypatch):
             yield g
 
     monkeypatch.setattr(search, "enumerate_unicyclic", counting)
-    assert len(run_search(8, "unicyclic", 30).groups) == 2
+    assert len(run_search(8, "unicyclic").groups) == 2
     assert drawn == [len(hashes), last + 1]
     assert last + 1 < len(hashes)
 
@@ -112,10 +112,10 @@ def test_second_enumeration_stops_at_the_last_repeated_hash(monkeypatch):
 def test_search_keeps_a_few_bytes_per_graph():
     # a first run fills CPython's per-size tuple free lists (up to 2,000 tuples
     # each), which tracemalloc counts as live; the second run is the steady cost
-    run_search(14, "tree", 30)
+    run_search(14, "tree")
     tracemalloc.start()
     try:
-        report = run_search(14, "tree", 30)
+        report = run_search(14, "tree")
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
@@ -124,12 +124,12 @@ def test_search_keeps_a_few_bytes_per_graph():
 
 @pytest.mark.parametrize("n, count", [(6, 1), (8, 2), (10, 6), (12, 15)])
 def test_unicyclic_collision_group_counts(n, count):
-    assert len(run_search(n, "unicyclic", 30).groups) == count
+    assert len(run_search(n, "unicyclic").groups) == count
 
 
 @pytest.mark.parametrize("n, count", [(13, 1301), (14, 3159)])
 def test_no_tree_collisions_at_13_and_14(n, count):
-    report = run_search(n, "tree", 30)
+    report = run_search(n, "tree")
     assert report.graph_count == count
     assert report.groups == ()
 
@@ -151,4 +151,4 @@ def test_work_limit_admits_tree_18_and_unicyclic_14_only():
     assert search_work(14, "unicyclic") == 129147 <= SEARCH_WORK_LIMIT < search_work(15, "unicyclic")
     for graph_class, n in (("tree", 19), ("unicyclic", 15), ("tree", 10**9)):
         with pytest.raises(ResourceLimitError, match="limit"):
-            run_search(n, graph_class, 10**9)
+            run_search(n, graph_class)

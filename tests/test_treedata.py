@@ -603,7 +603,7 @@ def test_forest_type_counts_rejects_cycles():
 
 
 def test_forest_type_counts_obeys_the_edge_cap():
-    # no edge cap by default: P32 runs, and the tree DP's own bound refuses P70
+    # P32 runs, and the tree DP's own bound refuses P70
     assert len(forest_type_counts(Graph(32, tuple((v, v + 1) for v in range(31))))) == 8349
     with pytest.raises(ResourceLimitError, match="tree DP on a component of 70 vertices"):
         forest_type_counts(Graph(70, tuple((v, v + 1) for v in range(69))))
