@@ -36,6 +36,16 @@ def _write_text(path: str, text: str) -> None:
         fh.write(text)
 
 
+def _decimal(x: int) -> str:
+    """Decimal text of x >= 0 at any length, 600 digits at a time: the
+    interpreter refuses to convert more digits than its cap (640 at least)."""
+    chunk, low_digits = 10 ** 600, []
+    while x >= chunk:
+        x, low = divmod(x, chunk)
+        low_digits.append(f"{low:0600d}")
+    return str(x) + "".join(reversed(low_digits))
+
+
 # ---------------------------------------------------------------------------
 # csf / equal
 
@@ -47,7 +57,7 @@ def cmd_csf(args) -> int:
     elif k < 0:
         raise ValueError("k must be nonnegative")
     else:  # every p_s becomes k
-        print(csf_value(g, [k] * (g.vertex_count + 1)))
+        print(_decimal(csf_value(g, [k] * (g.vertex_count + 1))))
     return 0
 
 

@@ -24,12 +24,12 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from functools import cache
-from itertools import accumulate, chain, repeat
+from itertools import accumulate
 from math import comb
 
 from .errors import ResourceLimitError
 from .graph import Graph, _components, _root_path, _skipped_edge, is_forest
-from .partitions import Partition, parse_partition_key, partition_key
+from .partitions import Partition, _is_partition, parse_partition_key, partition_key
 
 # Steps one graph may take, a step being one dictionary update or one set c's
 # scan visits: every component's kernel bound, summed before any kernel runs,
@@ -40,10 +40,17 @@ WORK_LIMIT = 1 << 22
 
 @dataclass(frozen=True)
 class PowerSumPolynomial:
-    """Sparse map partition -> integer coefficient, homogeneous of ``degree``."""
+    """Sparse map partition -> integer coefficient, homogeneous of ``degree``;
+    a key that is not a partition of ``degree`` is refused, zero terms dropped."""
 
     degree: int
     terms: dict[Partition, int]
+
+    def __post_init__(self):
+        for p in self.terms:
+            if not _is_partition(p, total=self.degree):
+                raise ValueError(f"term {partition_key(p)!r} is not a partition of {self.degree}")
+        object.__setattr__(self, "terms", {p: c for p, c in self.terms.items() if c})
 
     def coefficient(self, p: Partition) -> int:
         return self.terms.get(tuple(p), 0)
@@ -67,13 +74,9 @@ class PowerSumPolynomial:
         for ln in lines[1:]:
             key_text, _, coeff_text = ln.rpartition(" ")
             p = parse_partition_key(key_text)
-            if sum(p) != n:
-                raise ValueError(f"term {key_text!r} is not a partition of {n}")
             if p in terms:
                 raise ValueError(f"duplicate term {key_text!r}")
-            coeff = int(coeff_text)
-            if coeff:
-                terms[p] = coeff
+            terms[p] = int(coeff_text)
         return cls(n, terms)
 
     @classmethod
@@ -104,14 +107,14 @@ def _tree_dp(adj, order: list[int], parent: list[int], tracked: int | None,
 
     The bound sums the merge loop's pairs from subtree sizes, two steps each:
     s vertices hold at most bound[s] = sum over j < s of q(j) states, one per
-    root size s - j and size multiset of the j closed vertices (q(j) = p(j)
-    with codes, 1 without).  On the tracked vertex's root path a closed
-    tracked component of t vertices leaves j - t, so there bound[s] + sum over
-    j < s of bound[j].  q(j) is counted for j < 64 only: bound[64] is above
-    WORK_LIMIT.
+    root size s - j and size multiset of the j closed vertices (q(j) = p(j),
+    read off ``_partition_table``, with codes, 1 without).  On the tracked
+    vertex's root path a closed tracked component of t vertices leaves j - t,
+    so there bound[s] + sum over j < s of bound[j].  q(j) is counted for
+    j < 64 only: bound[64] is above WORK_LIMIT.
     """
-    root, q = order[0], _partition_counts()[:len(order)] if codes else ()
-    bound = list(accumulate(chain(q, repeat(1, len(order) - len(q))), initial=0))
+    root, table = order[0], _partition_table()
+    bound = list(accumulate((table[j][j] if codes and j < 64 else 1 for j in range(len(order))), initial=0))
     weigh = dict.fromkeys(order, bound)  # each vertex's table, by its subtree's size
     if tracked is not None:
         on_path = [b + below for b, below in zip(bound, accumulate(bound, initial=0))]
@@ -163,13 +166,15 @@ def _tree_dp(adj, order: list[int], parent: list[int], tracked: int | None,
 
 
 @cache
-def _partition_counts() -> tuple[int, ...]:
-    """p(j), the partitions of j, for j < 64."""
-    p = [1] * 64
-    for part in range(2, 64):
-        for j in range(part, 64):
-            p[j] += p[j - part]
-    return tuple(p)
+def _partition_table() -> tuple[tuple[int, ...], ...]:
+    """q[i][d], the partitions of d into at most i parts, for i, d < 64: the
+    tree DP reads p(d) = q[d][d], the set-partition DP rows below its k <= 23."""
+    q = [[1] + [0] * 63]
+    for i in range(1, 64):
+        q.append(list(q[-1]))
+        for d in range(i, 64):
+            q[i][d] += q[i][d - i]
+    return tuple(map(tuple, q))
 
 
 @cache
@@ -178,15 +183,10 @@ def _set_dp_weights(k: int, codes: bool) -> tuple[tuple[int, ...], ...]:
     least vertex i, in a k-vertex component.  Each remaining set R holding B
     is B and t of the k - i - s vertices above i outside B, and its map holds
     one entry per size multiset of its k - s - t closed vertices in at most i
-    parts (one per closed part's least vertex), or one without codes.  The
-    caller refuses k above 23 first, so the cache holds at most 46 tables."""
-    q = [[1] + [0] * k]  # q[i][d]: the partitions of d into at most i parts
-    for i in range(1, k):
-        q.append(list(q[-1]))
-        for d in range(i, k + 1):
-            q[i][d] += q[i][d - i]
-    if not codes:
-        q = [[min(1, x) for x in row] for row in q]
+    parts (one per closed part's least vertex), q[i][k - s - t], or one
+    without codes.  The caller refuses k above 23 first, so the cache holds
+    at most 46 tables."""
+    q = _partition_table() if codes else [[min(1, x) for x in row] for row in _partition_table()]
     return tuple(tuple(sum(comb(k - i - s, t) * q[i][k - s - t] for t in range(k - i - s + 1))
                        for s in range(k - i + 1)) for i in range(k))
 

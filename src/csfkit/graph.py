@@ -30,14 +30,14 @@ class Graph:
     def __post_init__(self):
         if self.vertex_count < 0:
             raise ValueError("vertex_count must be nonnegative")
-        seen = set()
-        for u, v in self.edges:
-            if u == v:
-                raise ValueError(f"self-loop at vertex {u}")
-            if not (0 <= u < v < self.vertex_count):
-                raise ValueError(f"edge ({u}, {v}) out of range or not u < v")
-            if (u, v) in seen:
-                raise ValueError(f"duplicate edge ({u}, {v})")
+        seen = set()  # the one edge check
+        for i, (u, v) in enumerate(self.edges):
+            if u == v or not 0 <= u < v < self.vertex_count or (u, v) in seen:
+                error = ValueError(f"self-loop at vertex {u}" if u == v else
+                                   f"duplicate edge ({u}, {v})" if (u, v) in seen else
+                                   f"edge ({u}, {v}) out of range or not u < v")
+                error.edge_index = i  # parse_graph names the line from it
+                raise error
             seen.add((u, v))
 
     @property
@@ -79,11 +79,7 @@ class Graph:
 
     def with_edge_added(self, u: int, v: int) -> "Graph":
         """Copy with (u, v) appended as the last edge index."""
-        if u > v:
-            u, v = v, u
-        if self.has_edge(u, v):
-            raise ValueError(f"edge ({u}, {v}) already present")
-        return Graph(self.vertex_count, self.edges + ((u, v),))
+        return Graph(self.vertex_count, self.edges + ((min(u, v), max(u, v)),))
 
     def to_text(self) -> str:
         lines = [f"{self.vertex_count} {len(self.edges)}"]
@@ -94,7 +90,8 @@ class Graph:
 def parse_graph(text: str) -> Graph:
     """Parse the edge-list format: "n m" header, then m lines "u v", u < v.
 
-    Edge index equals zero-based line order.  Errors name the 1-based line.
+    Edge index equals zero-based line order.  Errors name the 1-based line;
+    ``Graph`` checks the edges, and its refusal names the first bad edge's.
     """
     lines = text.splitlines()
     if not lines:
@@ -111,24 +108,15 @@ def parse_graph(text: str) -> Graph:
     if len(body) > m and any(ln.strip() for ln in body[m:]):
         raise GraphParseError(f"line {m + 2}: trailing content after {m} edges")
     edges: list[tuple[int, int]] = []
-    seen: set[tuple[int, int]] = set()
-    for k, ln in enumerate(body[:m]):
-        lineno = k + 2
+    for lineno, ln in enumerate(body[:m], start=2):
         toks = ln.split()
         if len(toks) != 2 or not all(t.isdecimal() for t in toks):
             raise GraphParseError(f"line {lineno}: expected 'u v', got {ln!r}")
-        u, v = int(toks[0]), int(toks[1])
-        if u == v:
-            raise GraphParseError(f"line {lineno}: self-loop at vertex {u}")
-        if u > v:
-            raise GraphParseError(f"line {lineno}: endpoints must satisfy u < v")
-        if v >= n:
-            raise GraphParseError(f"line {lineno}: vertex {v} out of range for n={n}")
-        if (u, v) in seen:
-            raise GraphParseError(f"line {lineno}: duplicate edge ({u}, {v})")
-        seen.add((u, v))
-        edges.append((u, v))
-    return Graph(n, tuple(edges))
+        edges.append((int(toks[0]), int(toks[1])))
+    try:
+        return Graph(n, tuple(edges))
+    except ValueError as exc:
+        raise GraphParseError(f"line {exc.edge_index + 2}: {exc}") from None
 
 
 # ---------------------------------------------------------------------------
@@ -220,12 +208,11 @@ class StructuralReport:
     matching_counts: tuple[int, ...]  # entry k-1 = number of k-edge matchings
 
 
-def _count_triangles(g: Graph) -> int:
+def _edge_triangles(g: Graph) -> list[int]:
+    """The number of triangles on each edge, by edge index; they sum to three
+    times the triangle count."""
     nbr = [set(a) for a in g.adjacency]
-    total = 0
-    for u, v in g.edges:
-        total += len(nbr[u] & nbr[v])
-    return total // 3
+    return [len(nbr[u] & nbr[v]) for u, v in g.edges]
 
 
 def _girth(g: Graph) -> int | None:
@@ -271,7 +258,7 @@ def structural_report(g: Graph) -> StructuralReport:
         edge_count=g.edge_count,
         degree_sequence=tuple(degs),
         sum_squared_degrees=sum(d * d for d in degs),
-        triangle_count=_count_triangles(g),
+        triangle_count=sum(_edge_triangles(g)) // 3,
         girth=_girth(g),
         matching_counts=_matching_counts(g),
     )

@@ -26,6 +26,13 @@ def partition_key(p: Partition) -> str:
     return ",".join(map(str, p))
 
 
+def _is_partition(parts, count: int | None = None, total: int | None = None) -> bool:
+    """Weakly decreasing positive parts, ``count`` of them summing to ``total``
+    where those are given: the one shape test of every partition read or built."""
+    return ((count is None or len(parts) == count) and (total is None or sum(parts) == total)
+            and [*parts] == sorted(parts, reverse=True) and (not parts or parts[-1] >= 1))
+
+
 def parse_partition_key(text: str) -> Partition:
     """Inverse of :func:`partition_key`; rejects malformed keys."""
     if text == "":
@@ -34,6 +41,6 @@ def parse_partition_key(text: str) -> Partition:
         parts = tuple(int(tok) for tok in text.split(","))
     except ValueError:
         raise ValueError(f"malformed partition key {text!r}") from None
-    if not all(a >= b for a, b in zip(parts, parts[1:] + (1,))):  # last part >= 1
+    if not _is_partition(parts):
         raise ValueError(f"partition key {text!r} is not weakly decreasing positive")
     return parts

@@ -5,7 +5,7 @@ double deletion, or the doubled base-edge deletion), and an open wedge can
 be traded for its closing edge.  Each rule returns a formal integer
 combination of graphs on the same vertex set whose signed CSF sum equals
 X_G exactly; ``combination_csf`` evaluates that sum.  ``reduce_triangle_free``
-applies the triangle rule until no triangle remains, within a split budget.
+applies the triangle rule until no triangle remains, within a work budget.
 """
 
 from __future__ import annotations
@@ -15,12 +15,13 @@ from itertools import compress
 
 from .csf import PowerSumPolynomial, chromatic_symmetric_function
 from .errors import ResourceLimitError
-from .graph import Graph, _check_edge_indices
+from .graph import Graph, _check_edge_indices, _edge_triangles
 from .partitions import Partition
 
-# Triangle splits one reduce_triangle_free call may make.  With equal pending
-# graphs merged before they are split, K6 in sorted edge order takes 256, K7
-# 1,807 and K8 14,477, so K9 and larger are refused.
+# Triangle splits one reduce_triangle_free call may make, each counted once
+# per 64 triangle edges of the input.  With equal pending graphs merged before
+# they are split, K6 in sorted edge order takes 256, K7 1,807 and K8 14,477,
+# so K9 and larger are refused.
 REDUCE_WORK_LIMIT = 1 << 15
 
 
@@ -105,25 +106,48 @@ def _triangle_table(g: Graph) -> list[tuple[int, list[list[int]]]]:
     return [row for row in table if row[1]]
 
 
+def _refuse_reduce(what: str, words: int, edges: int) -> None:
+    weight = f", each counted {words} times for its {edges} triangle edges" if words > 1 else ""
+    raise ResourceLimitError(f"triangle reduce{what} needs more than {REDUCE_WORK_LIMIT} splits{weight}")
+
+
 def reduce_triangle_free(g: Graph) -> GraphCombination:
     """Erase triangles by the rule of ``triangle_split`` until none remain.
 
-    Every pending graph is g less some edges, survivors in g's order, so the
-    bitmask of g's edge indices it keeps names it.  Its split takes the first
+    Every pending graph is g less some of the t edges that lie in a triangle
+    of g, survivors in g's order, so the bitmask of those t edges it keeps
+    names it; every other edge is in every term.  Its split takes the first
     triangle (e1, e2, e3) of ``_triangle_table(g)`` with all bits set and
     clears e1, e2, or both.  Masks are worked through one edge count at a
-    time, from g's down to 0: a level has received all its contributions
+    time, from t down to 0: a level has received all its contributions
     before any of its masks is split, and equal masks are merged there first.
-    A Graph is built only for each triangle-free term returned.  The number
-    of splits is not known in advance, so the budget is a running count: the
-    split after the first REDUCE_WORK_LIMIT raises ResourceLimitError.
+    A Graph is built only for each triangle-free term returned.
+
+    A split costs its mask's w = ceil(t / 64) words.  The number of splits is
+    not known in advance, so the budget is a running count: the split that
+    takes it past REDUCE_WORK_LIMIT raises ResourceLimitError.  Every
+    triangle of g is split at least once, so a graph whose triangle count
+    times w passes the limit is refused from counts, before any mask exists.
+    For a triangle T, the coefficients of the pending masks keeping all of T
+    sum to 1 at the start and to 0 at the end.  A split of another triangle
+    keeps that sum: T holds at most one of the cleared edges, so either all
+    three children keep T (c + c - c for a mask of coefficient c) or exactly
+    one child of coefficient c does.  Merging masks and skipping zero ones
+    keep it too, so only splits of T lower it.
     """
-    table = [(1 << e1, [(1 << e2, 1 << e2 | 1 << e3) for e2, e3 in pairs])
+    on = _edge_triangles(g)
+    tri = [i for i, count in enumerate(on) if count]  # the t edges in a triangle
+    t, triangles = len(tri), sum(on) // 3
+    words = -(-t // 64)
+    if triangles * words > REDUCE_WORK_LIMIT:
+        _refuse_reduce(f" of {triangles} triangles", words, t)
+    bit = {e: 1 << j for j, e in enumerate(tri)}
+    table = [(bit[e1], [(bit[e2], bit[e2] | bit[e3]) for e2, e3 in pairs])
              for e1, pairs in _triangle_table(g)]
-    levels: list[dict[int, int]] = [{} for _ in range(g.edge_count + 1)]
-    levels[-1][(1 << g.edge_count) - 1] = 1
+    levels: list[dict[int, int]] = [{} for _ in range(t + 1)]
+    levels[-1][(1 << t) - 1] = 1
     free: list[tuple[int, int]] = []
-    splits = 0
+    work = 0
     for level in reversed(levels):
         for mask, coeff in level.items():
             if not coeff:
@@ -133,17 +157,22 @@ def reduce_triangle_free(g: Graph) -> GraphCombination:
             if split is None:
                 free.append((coeff, mask))
                 continue
-            splits += 1
-            if splits > REDUCE_WORK_LIMIT:
-                raise ResourceLimitError(f"triangle reduce needs more than {REDUCE_WORK_LIMIT} splits")
+            work += words
+            if work > REDUCE_WORK_LIMIT:
+                _refuse_reduce("", words, t)
             b1, b2 = split
             for sub_mask, sub_coeff in ((mask ^ b1, coeff), (mask ^ b2, coeff), (mask ^ b1 ^ b2, -coeff)):
                 below = levels[sub_mask.bit_count()]
                 below[sub_mask] = below.get(sub_mask, 0) + sub_coeff
         level.clear()
-    # bin(mask) read from its low bit selects the kept edges.
-    terms = [(coeff, Graph(g.vertex_count, tuple(compress(g.edges, map("1".__eq__, bin(mask)[:1:-1])))))
-             for coeff, mask in free]
+    other = (1 << g.edge_count) - 1 - sum(1 << e for e in tri)  # g's edges in no triangle
+    terms = []
+    for coeff, mask in free:
+        if other:  # the term's edges as a mask over g's edge indices
+            mask = other + sum(1 << e for j, e in enumerate(tri) if mask >> j & 1)
+        # bin(mask) read from its low bit selects the kept edges.
+        kept = compress(g.edges, map("1".__eq__, bin(mask)[:1:-1]))
+        terms.append((coeff, Graph(g.vertex_count, tuple(kept))))
     terms.sort(key=lambda item: (-item[1].edge_count, item[1].edges))
     return GraphCombination(tuple(terms))
 
@@ -160,4 +189,4 @@ def combination_csf(c: GraphCombination) -> PowerSumPolynomial:
         x = chromatic_symmetric_function(g)
         for p, value in x.terms.items():
             total[p] = total.get(p, 0) + coeff * value
-    return PowerSumPolynomial(n, {p: v for p, v in total.items() if v})
+    return PowerSumPolynomial(n, total)

@@ -21,12 +21,7 @@ from itertools import chain, combinations
 
 from .errors import InconsistentDataError, ResourceLimitError, TwoCentroidError
 from .graph import Graph, _check_edge_indices, pi_type, require_tree
-from .partitions import (
-    Partition,
-    parse_partition_key,
-    partition_key,
-    rearrange,
-)
+from .partitions import Partition, _is_partition, parse_partition_key, partition_key, rearrange
 
 # Largest C(m, 2) * n a cut table may take, since each of its C(m, 2) pair
 # images costs O(n): theta_tables runs a 301-vertex tree (13,499,850; 4-7 s on
@@ -62,7 +57,7 @@ class ThetaTable:
         if self.singletons and set(self.singletons) != set(labels):
             raise ValueError("singleton images must cover all labels or none")
         for label, img in self.singletons.items():
-            if len(img) != 2 or sum(img) != self.n or not img[0] >= img[1] >= 1:
+            if not _is_partition(img, 2, self.n):
                 raise ValueError(f"singleton image of {label} must be a 2-part partition of {self.n}")
         # Dict keys are distinct, so the right count of keys that are each two
         # known labels in label order covers every pair exactly once.
@@ -75,7 +70,7 @@ class ThetaTable:
         ):
             raise ValueError("pair images must cover every unordered label pair exactly")
         for pair, img in self.pairs.items():
-            if len(img) != 3 or sum(img) != self.n or not img[0] >= img[1] >= img[2] >= 1:
+            if not _is_partition(img, 3, self.n):
                 raise ValueError(f"pair image of {pair} must be a 3-part partition of {self.n}")
         if m != self.n - 1:
             raise InconsistentDataError(f"{m} edges cannot make a tree on {self.n} vertices")
@@ -202,7 +197,7 @@ def attracts_from_theta(n: int, theta_a: Partition, theta_b: Partition,
     unrealizable data.
     """
     for img, parts in ((theta_a, 2), (theta_b, 2), (theta_ab, 3)):
-        if len(img) != parts or sum(img) != n or not img[0] >= img[1] >= img[-1] >= 1:
+        if not _is_partition(img, parts, n):
             raise ValueError(f"{img} is not a {parts}-part partition of {n}")
     i = theta_a[1]
     k = theta_b[1]

@@ -521,6 +521,26 @@ def reduce_unmerged(g: Graph) -> GraphCombination:
     return GraphCombination(tuple(terms))
 
 
+def merged_split_count(g: Graph) -> int:
+    """Splits of the triangle reduce with equal pending graphs merged one edge
+    count at a time, each split at ``first_triangle_by_pairs``; pending graphs
+    are keyed by their kept edges, which stay in g's order."""
+    levels: list[dict] = [{} for _ in range(g.edge_count + 1)]
+    levels[-1][g.edges] = 1
+    splits = 0
+    for level in reversed(levels):
+        for edges, coeff in level.items():
+            h = Graph(g.vertex_count, edges)
+            tri = first_triangle_by_pairs(h) if coeff else None
+            if tri is None:
+                continue
+            splits += 1
+            for sub_coeff, sub in triangle_split(h, *tri).terms:
+                below = levels[sub.edge_count]
+                below[sub.edges] = below.get(sub.edges, 0) + coeff * sub_coeff
+    return splits
+
+
 # ---------------------------------------------------------------------------
 # Edge attraction by its definition
 

@@ -1,4 +1,5 @@
 import argparse
+import decimal
 import os
 import random
 import subprocess
@@ -91,6 +92,29 @@ def test_csf_chromatic_errors(tmp_path, capsys):
     assert (code, out) == (4, "")
     assert err == ("error: the set-partition DP on a component of 16 vertices needs more than "
                    "the 4194304 steps left of the limit of 4194304\n")
+
+
+def six_times_a_power_of_three(exponent: int) -> str:
+    """Decimal text of 6 * 3^exponent, by exact decimal arithmetic."""
+    with decimal.localcontext() as ctx:
+        ctx.prec = exponent // 2 + 10
+        return format(6 * decimal.Decimal(3) ** exponent, "f")
+
+
+@pytest.mark.parametrize("text, k, want", [
+    # 10^n: a one and n zeros, across the writer's 600-digit chunks
+    ("600 0\n", 10, "1" + "0" * 600),
+    ("1201 0\n", 10, "1" + "0" * 1201),
+    # a triangle and 9,015 isolated vertices: 6 * 3^9015, 4,303 digits, past the
+    # interpreter's default cap of 4,300 digits for one int-to-text conversion
+    ("9018 3\n0 1\n0 2\n1 2\n", 3, six_times_a_power_of_three(9015)),
+], ids=["601-digits", "1202-digits", "4303-digits"])
+def test_csf_chromatic_prints_every_digit(tmp_path, capsys, text, k, want):
+    path = tmp_path / "g.graph"
+    path.write_text(text, encoding="ascii")
+    limit = sys.get_int_max_str_digits()
+    assert (run(capsys, ["csf", str(path), "--chromatic", str(k)])) == (0, want + "\n", "")
+    assert sys.get_int_max_str_digits() == limit
 
 
 def test_csf_poly_k2(tmp_path, capsys):

@@ -13,6 +13,7 @@ from csfkit import (
     enumerate_trees,
     extract_invariants,
     first_difference,
+    partition_key,
     specialize,
     structural_report,
 )
@@ -198,12 +199,23 @@ def test_csf_equal_distinguishes_path_and_star():
 
 
 def test_csf_equal_agrees_with_first_difference_on_stored_zeros():
-    a = PowerSumPolynomial(1, {(1,): 1, (2,): 0})
-    b = PowerSumPolynomial(1, {(1,): 1})
+    # zero coefficients are dropped on construction, so none is ever stored
+    a = PowerSumPolynomial(2, {(2,): 0, (1, 1): 1})
+    b = PowerSumPolynomial(2, {(1, 1): 1})
+    assert a.terms == {(1, 1): 1}
     assert first_difference(a, b) is None
     assert csf_equal(a, b) and csf_equal(b, a)
-    assert not csf_equal(a, PowerSumPolynomial(2, {(1,): 1}))
-    assert not csf_equal(a, PowerSumPolynomial(1, {(1,): 2}))
+    assert not csf_equal(PowerSumPolynomial(1, {(1,): 0}), PowerSumPolynomial(2, {(2,): 0}))
+    assert not csf_equal(a, PowerSumPolynomial(2, {(1, 1): 2}))
+
+
+@pytest.mark.parametrize("degree, key", [(1, (2,)), (3, (1, 2)), (2, (2, 0)), (0, (0,))])
+def test_power_sum_polynomial_refuses_a_term_that_is_not_a_partition_of_its_degree(degree, key):
+    with pytest.raises(ValueError, match=f"is not a partition of {degree}"):
+        PowerSumPolynomial(degree, {key: 1})
+    # the text route refuses the same terms, whether by key shape or by sum
+    with pytest.raises(ValueError):
+        PowerSumPolynomial.from_text(f"csf n={degree}\n{partition_key(key)} 1\n")
 
 
 def test_first_difference_of_equal_functions_is_none():

@@ -85,6 +85,23 @@ def test_parse_errors_name_the_line():
         parse_graph("banana")
 
 
+@pytest.mark.parametrize("text, line, message", [
+    ("3 2\n0 1\n2 2\n", 3, "self-loop at vertex 2"),
+    ("3 2\n0 1\n2 1\n", 3, "edge (2, 1) out of range or not u < v"),
+    ("3 1\n0 3\n", 2, "edge (0, 3) out of range or not u < v"),
+    ("3 3\n0 1\n1 2\n0 1\n", 4, "duplicate edge (0, 1)"),
+])
+def test_parse_names_the_line_of_the_first_edge_graph_refuses(text, line, message):
+    # Graph holds the one edge check; parsing only adds the line
+    with pytest.raises(GraphParseError) as info:
+        parse_graph(text)
+    assert str(info.value) == f"line {line}: {message}"
+    head, *rows = text.split("\n")[:-1]
+    with pytest.raises(ValueError) as info:
+        Graph(int(head.split()[0]), tuple(tuple(map(int, row.split())) for row in rows))
+    assert str(info.value) == message
+
+
 @pytest.mark.parametrize("text, line", [
     ("\u00b3 0\n", 1),  # superscript digits pass str.isdigit but not int()
     ("2 1\n0 \u00b9\n", 2),

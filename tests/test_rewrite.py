@@ -15,6 +15,7 @@ from csfkit import (
 )
 from csfkit import rewrite
 from csfkit.errors import ResourceLimitError
+from csfkit.graph import _edge_triangles
 
 from fixtures import (
     PENTAGON,
@@ -24,7 +25,7 @@ from fixtures import (
     TRIANGLE_DEMO_B,
     TRIANGLE_DEMO_B_INDICES,
 )
-from oracles import first_triangle_by_pairs, reduce_unmerged, relabelled
+from oracles import first_triangle_by_pairs, merged_split_count, reduce_unmerged, relabelled
 
 K3 = Graph(3, ((0, 1), (0, 2), (1, 2)))
 P3 = Graph(3, ((0, 1), (0, 2)))
@@ -338,6 +339,64 @@ def test_reduce_matches_unmerged_depth_first_route():
 @pytest.mark.parametrize("n, splits", [(5, 41), (6, 256), (7, 1807)])
 def test_reduce_split_counts_on_cliques(monkeypatch, n, splits):
     assert len(reduce_within(monkeypatch, clique(n), splits).terms) == math.factorial(n) // 2
+
+
+def test_every_triangle_is_split_at_least_once(monkeypatch):
+    # the up-front refusal rests on this: splits >= triangles
+    rng = random.Random(63)
+    graphs = [clique(n) for n in range(3, 7)] + [decode(code) for code in SEVEN_VERTEX_CODES]
+    for _ in range(200):
+        n = rng.randint(3, 8)
+        pool = list(combinations(range(n), 2))
+        rng.shuffle(pool)
+        graphs.append(relabelled(rng, n, pool[: rng.randint(0, min(len(pool), 14))]))
+    for g in graphs:
+        splits = merged_split_count(g)
+        assert splits >= sum(_edge_triangles(g)) // 3, g
+        if splits:  # the reduce counts the same splits
+            reduce_within(monkeypatch, g, splits)
+
+
+def disjoint_triangles(k: int) -> Graph:
+    return Graph(3 * k, tuple(e for t in range(3 * k)[::3] for e in ((t, t + 1), (t, t + 2), (t + 1, t + 2))))
+
+
+@pytest.mark.parametrize("g, message", [
+    (clique(200), "of 1313400 triangles needs more than 32768 splits, each counted 311 times for its "
+                  "19900 triangle edges"),
+    (disjoint_triangles(2000), "of 2000 triangles needs more than 32768 splits, each counted 94 times "
+                               "for its 6000 triangle edges"),
+], ids=["K200", "2000-triangles"])
+def test_reduce_refuses_from_counts_before_any_mask(g, message):
+    import tracemalloc
+
+    g.adjacency  # built with the graph, not by the reduce
+    tracemalloc.start()
+    try:
+        with pytest.raises(ResourceLimitError) as info:
+            rewrite.reduce_triangle_free(g)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert str(info.value) == "triangle reduce " + message
+    # one 19,900-bit mask per K200 triangle would take 3.3 GB
+    assert peak < 4 << 20
+
+
+def test_reduce_masks_hold_only_the_triangle_edges(monkeypatch):
+    # a 2,000-vertex path with 20 chords closing triangles: 2,019 edges, of
+    # which 60 lie in a triangle, so each split counts one 64-bit word
+    path = [(v, v + 1) for v in range(1999)]
+    g = Graph(2000, tuple(sorted(path + [(3 * t, 3 * t + 2) for t in range(20)])))
+    monkeypatch.setattr(rewrite, "REDUCE_WORK_LIMIT", 1000)
+    with pytest.raises(ResourceLimitError) as info:
+        rewrite.reduce_triangle_free(g)
+    assert str(info.value) == "triangle reduce needs more than 1000 splits"
+    # K12's 66 edges all lie in triangles, so each split counts two words
+    with pytest.raises(ResourceLimitError) as info:
+        rewrite.reduce_triangle_free(clique(12))
+    assert str(info.value) == ("triangle reduce needs more than 1000 splits, each counted 2 times "
+                               "for its 66 triangle edges")
 
 
 def test_reduce_k7_sums_to_its_csf():
