@@ -4,16 +4,18 @@ X_G is the product of its components' expansions.  Grouping edge subsets by
 the vertex partition they induce gives X_G = sum over partitions pi of V into
 connected blocks of prod_{B in pi} c(B) p_lambda(pi), where c(B) is the signed
 count of connected spanning edge subsets of G[B] (Stanley 1995, Thm 2.6).
-Each component gets one exact kernel, picked by its cyclomatic number r: a
-rooted tree DP for r = 0, the same DP with one cycle edge dropped for r = 1,
-and a set-partition DP over vertex bitmasks for r >= 2.  No kernel visits
-edge subsets.  Each kernel takes two tables indexed by part size: closing a
-component of size s adds pw[s] to the state's code and multiplies its
-coefficient by mult[s].  ``csf_codes`` passes one base-(n+1) digit per part
-size and all-one multipliers, so a code is a size multiset and merging two is
-an addition; ``csf_value`` passes zero codes and a table of weights, so each
-kernel keeps one state where ``csf_codes`` keeps one per size multiset and
-returns X_G with every p_s replaced by weights[s].  Coefficients are exact
+Each component gets one exact kernel, picked by its cyclomatic number r and
+the mode.  For r >= 2 it is a set-partition DP over vertex bitmasks; it takes
+two tables indexed by part size: closing a component of size s adds pw[s] to
+the state's code and multiplies its coefficient by mult[s].  ``csf_codes``
+passes one base-(n+1) digit per part size and all-one multipliers, so a code
+is a size multiset and merging two is an addition; ``csf_value`` passes zero
+codes and a table of weights, so the DP keeps one state where ``csf_codes``
+keeps one per size multiset.  For r <= 1, ``csf_codes`` runs a rooted tree DP
+on those codes, with one cycle edge dropped for r = 1, and ``csf_value`` the
+value kernel: per rooted subtree one list of values by root component size,
+folded around the cycle for r = 1, which the collision search also runs on
+its generators' trees.  No kernel visits edge subsets.  Coefficients are exact
 Python ints.  The one limit is a work total over the graph, refused above
 ``WORK_LIMIT``: each component's kernel adds its bound on its own work before
 any kernel runs, and each product of two components' terms adds its term
@@ -26,6 +28,7 @@ from dataclasses import dataclass
 from functools import cache
 from itertools import accumulate
 from math import comb
+from operator import mul
 
 from .errors import ResourceLimitError
 from .graph import Graph, _components, _root_path, _skipped_edge, is_forest
@@ -40,13 +43,16 @@ WORK_LIMIT = 1 << 22
 
 @dataclass(frozen=True)
 class PowerSumPolynomial:
-    """Sparse map partition -> integer coefficient, homogeneous of ``degree``;
-    a key that is not a partition of ``degree`` is refused, zero terms dropped."""
+    """Sparse map partition -> integer coefficient, homogeneous of ``degree``,
+    an int >= 0; a key that is not a partition of ``degree`` is refused, zero
+    terms dropped."""
 
     degree: int
     terms: dict[Partition, int]
 
     def __post_init__(self):
+        if type(self.degree) is not int or self.degree < 0:
+            raise ValueError(f"degree {self.degree!r} is not a nonnegative int")
         for p in self.terms:
             if not _is_partition(p, total=self.degree):
                 raise ValueError(f"term {partition_key(p)!r} is not a partition of {self.degree}")
@@ -89,10 +95,10 @@ def _refuse(what: str, budget: int) -> None:
     raise ResourceLimitError(f"{what} more than the {budget} steps left of the limit of {WORK_LIMIT}")
 
 
-def _tree_dp(adj, order: list[int], parent: list[int], tracked: int | None,
-             codes: bool, budget: int):
-    """Tree component (tracked None), or unicyclic with root-tracked on the cycle:
-    its bound on its merge work, and the DP as a function of (pw, mult).
+def _tree_dp(adj, order: list[int], parent: list[int], tracked: int | None, budget: int):
+    """``csf_codes`` on a tree component (tracked None), or a unicyclic one with
+    root-tracked on the cycle: its bound on its merge work, and the DP as a
+    function of (pw, mult), mult unused (all ones with codes).
 
     A rooted DP over the tree left once the edge root-tracked is dropped,
     given by its parent list (root = order[0] is its own parent) and an order
@@ -102,19 +108,19 @@ def _tree_dp(adj, order: list[int], parent: list[int], tracked: int | None,
     tracked vertex shares the root's component, and the size of its component
     once that closed.  Taking the dropped edge fuses those two components and
     flips the sign, which cancels every state with t == -1.  Closing a
-    component of size s adds pw[s] to the code and multiplies by mult[s]; the
-    tracked vertex's component is weighed at the root, once its size is final.
+    component of size s adds pw[s] to the code; the tracked vertex's
+    component is coded at the root, once its size is final.
 
     The bound sums the merge loop's pairs from subtree sizes, two steps each:
-    s vertices hold at most bound[s] = sum over j < s of q(j) states, one per
-    root size s - j and size multiset of the j closed vertices (q(j) = p(j),
-    read off ``_partition_table``, with codes, 1 without).  On the tracked
-    vertex's root path a closed tracked component of t vertices leaves j - t,
-    so there bound[s] + sum over j < s of bound[j].  q(j) is counted for
-    j < 64 only: bound[64] is above WORK_LIMIT.
+    s vertices hold at most bound[s] = sum over j < s of p(j) states, one per
+    root size s - j and size multiset of the j closed vertices (p(j) read off
+    ``_partition_table``).  On the tracked vertex's root path a closed tracked
+    component of t vertices leaves j - t, so there bound[s] + sum over j < s
+    of bound[j].  p(j) is counted for j < 64 only: bound[64] is above
+    WORK_LIMIT.
     """
     root, table = order[0], _partition_table()
-    bound = list(accumulate((table[j][j] if codes and j < 64 else 1 for j in range(len(order))), initial=0))
+    bound = list(accumulate((table[j][j] if j < 64 else 1 for j in range(len(order))), initial=0))
     weigh = dict.fromkeys(order, bound)  # each vertex's table, by its subtree's size
     if tracked is not None:
         on_path = [b + below for b, below in zip(bound, accumulate(bound, initial=0))]
@@ -125,9 +131,7 @@ def _tree_dp(adj, order: list[int], parent: list[int], tracked: int | None,
             if parent[c] == v:
                 work += weigh[c][size[c]] * weigh[v][size[v]]
                 size[v] += size[c]
-    if 2 * work > budget:
-        _refuse(f"the tree DP on a component of {len(order)} vertices may merge {work} state pairs, "
-                f"{2 * work} steps,", budget)
+    _check_merge_work(len(order), work, budget)
 
     def run(pw: list[int], mult: list[int]) -> dict[int, int]:
         states: dict[int, dict] = {}
@@ -140,14 +144,11 @@ def _tree_dp(adj, order: list[int], parent: list[int], tracked: int | None,
                 get = merged.get
                 for (sc, tc, pc), ac in states.pop(c).items():
                     # leaving the edge v-c out closes the child's component
-                    if tc == -1:
-                        t_out, add, a_out = sc, 0, ac
-                    else:
-                        t_out, add, a_out = tc, pw[sc], ac * mult[sc]
+                    t_out, add = (sc, 0) if tc == -1 else (tc, pw[sc])
                     for (sv, tv, pv), av in mine.items():
                         p = pv + pc
                         key = (sv, tv or t_out, p + add)
-                        merged[key] = get(key, 0) + av * a_out
+                        merged[key] = get(key, 0) + av * ac
                         key = (sv + sc, tv or tc, p)
                         merged[key] = get(key, 0) - av * ac
                 mine = merged
@@ -156,11 +157,122 @@ def _tree_dp(adj, order: list[int], parent: list[int], tracked: int | None,
         for (sr, t, p), coeff in states[root].items():
             if t >= 0:
                 key = p + pw[sr] + pw[t]
-                terms[key] = terms.get(key, 0) + coeff * mult[sr] * mult[t]
+                terms[key] = terms.get(key, 0) + coeff
             if t > 0:
                 key = p + pw[sr + t]
-                terms[key] = terms.get(key, 0) - coeff * mult[sr + t]
+                terms[key] = terms.get(key, 0) - coeff
         return terms
+
+    return 2 * work, run
+
+
+def _check_merge_work(k: int, pairs: int, budget: int) -> None:
+    """Refuse a tree or cycle DP on k vertices whose bound is ``pairs`` merged
+    state pairs, two steps each, above the budget."""
+    if 2 * pairs > budget:
+        _refuse(f"the tree DP on a component of {k} vertices may merge {pairs} state pairs, "
+                f"{2 * pairs} steps,", budget)
+
+
+# The value kernel.  A rooted tree's list V holds at V[a - 1] the signed sum,
+# over the edge subsets of the tree whose root component has a vertices, of
+# the product of weight[s - 1] over its other components' sizes s; its value
+# is sum(V[a - 1] * weight[a - 1]), the root component closed too.
+
+
+def _merge(mine: list[int], child: list[int], closed: int) -> list[int]:
+    """v's list once the subtree of its child c joins: leaving the edge v-c
+    out closes c's root component (c's value ``closed``), taking it (sign -1)
+    adds that component's size to v's."""
+    out = [a * closed for a in mine] + [0] * len(child)
+    for i, a in enumerate(mine, 1):
+        for j, b in enumerate(child, i):
+            out[j] -= a * b
+    return out
+
+
+def _cycle_value(lists: list[list[int]], weight: list[int]) -> int:
+    """The value of a cycle with a rooted tree hanging at each of its vertices,
+    given the trees' lists in order around it.
+
+    A fold over the cycle path from lists[0], whose last edge closes the
+    cycle.  rows[0][a - 1] sums the subsets in which the first tree's root
+    component is still the open one, of a vertices; rows[f][a - 1], f >= 1,
+    those in which it closed with f vertices and the open one has a.  The
+    next path edge is taken (sign -1: the next tree's root component joins the
+    open one) or left out (the open one closes): that is ``_merge`` with the
+    next tree taking the row as its child, except that in rows[0] the closed
+    component is not weighed but moves to row f.  The closing edge then
+    weighs row f at a as weight[a - 1] weight[f - 1] without it and
+    -weight[a + f - 1] with it; in rows[0] the two cancel.  At m vertices
+    folded, row f holds a <= m - f.
+    """
+    rows = [lists[0]]
+    for tree in lists[1:]:
+        m = len(rows[0])
+        step = [_merge(tree, row, f and sum(map(mul, row, weight))) for f, row in enumerate(rows)]
+        step += ([0] * (m + len(tree) - f) for f in range(len(rows), m + 1))
+        for f, a in enumerate(rows[0], 1):
+            row = step[f]
+            for j, b in enumerate(tree):
+                row[j] += a * b
+        rows = step
+    return sum(x * (weight[a] * weight[f - 1] - weight[a + f]) for f, row in enumerate(rows[1:], 1)
+               for a, x in enumerate(row) if x)
+
+
+def _fold_pairs(sizes: list[int]) -> int:
+    """The (row entry, tree entry) pairs ``_cycle_value`` merges on hanging
+    trees of these sizes: at m vertices folded, f of them before the latest
+    tree, the rows hold m + sum over 1 <= g <= f of (m - g) entries, and each
+    meets every entry of the next tree's list."""
+    pairs, m, f = 0, sizes[0], 0
+    for t in sizes[1:]:
+        pairs += (m + f * m - f * (f + 1) // 2) * t
+        m, f = m + t, m
+    return pairs
+
+
+def _value_dp(adj, order: list[int], parent: list[int], tracked: int | None, budget: int):
+    """``csf_value`` on the rooted tree ``_tree_dp`` takes: its bound on its
+    merge work, and the DP as a function of (pw, mult), pw unused and mult[s]
+    the weight of a part of size s.
+
+    Each vertex merges its children's lists into its own.  A tree's value
+    closes the root's list.  With a tracked vertex, its root path and the
+    dropped edge are the cycle: a vertex there takes no child on the cycle,
+    so it keeps its hanging tree's list, and ``_cycle_value`` folds those from
+    the first smallest tree on the path.  The bound sums, two steps each, the
+    products of the two list lengths (subtree sizes) over the merges, as
+    ``_tree_dp`` counts pairs with one state per root size, and the fold's
+    ``_fold_pairs``.
+    """
+    cycle = _root_path(parent, tracked) if tracked is not None else []
+    size, work, on_cycle = dict.fromkeys(order, 1), 0, set(cycle)
+    for v in reversed(order):
+        for c in adj[v]:
+            if parent[c] == v and c not in on_cycle:
+                work += size[v] * size[c]
+                size[v] += size[c]
+    if cycle:
+        sizes = [size[v] for v in cycle]
+        start = sizes.index(min(sizes))
+        cycle = cycle[start:] + cycle[:start]
+        work += _fold_pairs(sizes[start:] + sizes[:start])
+    _check_merge_work(len(order), work, budget)
+
+    def run(pw: list[int], mult: list[int]) -> dict[int, int]:
+        weight, lists = mult[1:], {}
+        for v in reversed(order):
+            mine = [1]
+            for c in adj[v]:
+                if parent[c] == v and c not in on_cycle:
+                    child = lists.pop(c)
+                    mine = _merge(mine, child, sum(map(mul, child, weight)))
+            lists[v] = mine
+        if cycle:
+            return {0: _cycle_value([lists[v] for v in cycle], weight)}
+        return {0: sum(map(mul, lists[order[0]], weight))}
 
     return 2 * work, run
 
@@ -302,19 +414,19 @@ def _expansion(g: Graph, weights: list[int] | None) -> dict[int, int]:
     codes, parent, work, runs, longest = weights is None, [-1] * n, 0, [], 0
     for comp in _components(adj, parent):
         r = sum(len(adj[v]) for v in comp) // 2 - len(comp) + 1
-        if r == 0:
-            bound, run = _tree_dp(adj, comp, parent, None, codes, WORK_LIMIT - work)
-        elif r == 1:  # the pass's tree, re-rooted at x: path links reversed, path first
-            x, y = _skipped_edge(adj, comp, parent)
+        order, tracked = comp, None
+        if r == 1:  # the pass's tree, re-rooted at x: path links reversed, path first
+            x, tracked = _skipped_edge(adj, comp, parent)
             path = _root_path(parent, x)
             for child, above in zip(path, path[1:]):
                 parent[above] = child
             parent[x] = x
             on_path = set(path)
             order = path + [v for v in comp if v not in on_path]
-            bound, run = _tree_dp(adj, order, parent, y, codes, WORK_LIMIT - work)
-        else:
+        if r >= 2:
             bound, run = _set_partition_dp(comp, adj, codes, WORK_LIMIT - work)
+        else:
+            bound, run = (_tree_dp if codes else _value_dp)(adj, order, parent, tracked, WORK_LIMIT - work)
         work += bound
         runs.append(run)
         longest = max(longest, len(comp))
@@ -349,10 +461,9 @@ def csf_codes(g: Graph) -> dict[int, int]:
 def csf_value(g: Graph, weights: list[int]) -> int:
     """X_G with each p_s replaced by weights[s] (s = 1..n), exactly.
 
-    The kernels run with every part code zero, so each keeps one state where
-    ``csf_codes`` keeps one per size multiset.  Equal functions give equal
-    values at every point; ``weights = [k] * (n + 1)`` gives the chromatic
-    polynomial at k.
+    The kernels keep values where ``csf_codes`` keeps one term per size
+    multiset.  Equal functions give equal values at every point;
+    ``weights = [k] * (n + 1)`` gives the chromatic polynomial at k.
     """
     n = g.vertex_count
     if len(weights) <= n:

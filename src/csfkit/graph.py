@@ -11,7 +11,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from functools import cached_property
-from itertools import combinations, product
+from itertools import accumulate, combinations, product
 from typing import Iterable, Iterator
 
 from .errors import GraphParseError, NotATreeError, ResourceLimitError
@@ -32,10 +32,14 @@ class Graph:
             raise ValueError("vertex_count must be nonnegative")
         seen = set()  # the one edge check
         for i, (u, v) in enumerate(self.edges):
-            if u == v or not 0 <= u < v < self.vertex_count or (u, v) in seen:
-                error = ValueError(f"self-loop at vertex {u}" if u == v else
-                                   f"duplicate edge ({u}, {v})" if (u, v) in seen else
-                                   f"edge ({u}, {v}) out of range or not u < v")
+            problem = (f"edge ({u!r}, {v!r}) has an endpoint that is not an int"
+                       if type(u) is not int or type(v) is not int else
+                       f"self-loop at vertex {u}" if u == v else
+                       f"duplicate edge ({u}, {v})" if (u, v) in seen else
+                       f"edge ({u}, {v}) out of range or not u < v" if not 0 <= u < v < self.vertex_count else
+                       None)
+            if problem:
+                error = ValueError(problem)
                 error.edge_index = i  # parse_graph names the line from it
                 raise error
             seen.add((u, v))
@@ -490,34 +494,54 @@ def _cycle_orders(n: int) -> Iterator[tuple[tuple[int, ...], list[int]]]:
                 yield cuts, orders
 
 
+def _hanging_trees(n: int) -> list[tuple[int, ...]]:
+    """The canonical level sequence of every rooted tree that can hang at a
+    cycle vertex of an n-vertex unicyclic graph (1 to n - 2 vertices), by
+    rank: by order, then by place in the Beyer-Hedetniemi scan."""
+    return [levels for order in range(1, n - 1) for levels in _level_sequences(order)]
+
+
+def _unicyclic_sequences(n: int, trees: list[tuple[int, ...]]) -> Iterator[tuple[int, ...]]:
+    """One sequence of ranks in ``trees`` (``_hanging_trees(n)``) per class of
+    connected unicyclic graphs on n vertices: the trees around the cycle.
+
+    Each sequence whose first tree has the smallest order is visited and kept
+    only if none of its p rotations and p reflections is lexicographically
+    smaller (one that starts with a larger tree always has a smaller rotation).
+    """
+    ranks: list[list[int]] = [[] for _ in range(n + 1)]  # by order
+    for rank, levels in enumerate(trees):
+        ranks[len(levels)].append(rank)
+    for _, orders in _cycle_orders(n):
+        for seq in product(*(ranks[order] for order in orders)):
+            if _least_turn(seq):
+                yield seq
+
+
+def unicyclic_from_ranks(seq: tuple[int, ...], trees: list[tuple[int, ...]]) -> Graph:
+    """The unicyclic graph of a rank sequence: a cycle through len(seq)
+    vertices, the i-th the root of tree ``trees[seq[i]]``, whose vertices are
+    numbered consecutively from it in level-sequence order."""
+    roots = list(accumulate((len(trees[rank]) for rank in seq[:-1]), initial=0))
+    n = roots[-1] + len(trees[seq[-1]])
+    edges = [(roots[i - 1], roots[i]) for i in range(1, len(roots))] + [(0, roots[-1])]
+    for root, rank in zip(roots, seq):
+        up = _level_parents(trees[rank])
+        edges += [(root + up[i], root + i) for i in range(1, len(up))]
+    return Graph(n, tuple(sorted(edges)))
+
+
 def enumerate_unicyclic(n: int) -> Iterator[Graph]:
     """One representative per isomorphism class of connected unicyclic graphs
     on n vertices, generated directly (no isomorphism test or deduplication).
 
     A class is a cycle C_p (3 <= p <= n) with a rooted tree at each cycle
     vertex, read as the sequence of those trees around the cycle, trees ranked
-    by order and then by their place in the Beyer-Hedetniemi scan.  Each
-    sequence whose first tree has the smallest order is visited and kept only
-    if none of its p rotations and p reflections is lexicographically smaller
-    (one that starts with a larger tree always has a smaller rotation).  Cycle
-    vertex i is the root of the i-th tree, whose vertices are numbered
-    consecutively.
+    by order and then by their place in the Beyer-Hedetniemi scan
+    (``_unicyclic_sequences``); ``unicyclic_from_ranks`` builds each graph.
     """
     if n < 1:
         raise ValueError("n must be at least 1")
-    parents: list[list[int]] = []  # by rank
-    ranks: list[list[int]] = [[] for _ in range(n + 1)]  # by order
-    for order in range(1, n - 1):
-        for levels in _level_sequences(order):
-            ranks[order].append(len(parents))
-            parents.append(_level_parents(levels))
-    for cuts, orders in _cycle_orders(n):
-        roots = (0,) + cuts
-        for seq in product(*(ranks[order] for order in orders)):
-            if not _least_turn(seq):
-                continue
-            edges = [(roots[i - 1], roots[i]) for i in range(1, len(roots))] + [(0, roots[-1])]
-            for root, rank in zip(roots, seq):
-                up = parents[rank]
-                edges += [(root + up[i], root + i) for i in range(1, len(up))]
-            yield Graph(n, tuple(sorted(edges)))
+    trees = _hanging_trees(n)
+    for seq in _unicyclic_sequences(n, trees):
+        yield unicyclic_from_ranks(seq, trees)

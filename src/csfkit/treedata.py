@@ -197,10 +197,18 @@ def attracts_from_theta(n: int, theta_a: Partition, theta_b: Partition,
     unrealizable data.
     """
     for img, parts in ((theta_a, 2), (theta_b, 2), (theta_ab, 3)):
-        if not _is_partition(img, parts, n):
-            raise ValueError(f"{img} is not a {parts}-part partition of {n}")
-    i = theta_a[1]
-    k = theta_b[1]
+        _check_image(img, parts, n)
+    return _attracts(n, theta_a[1], theta_b[1], theta_ab)
+
+
+def _check_image(img: Partition, parts: int, n: int) -> None:
+    if not _is_partition(img, parts, n):
+        raise ValueError(f"{img} is not a {parts}-part partition of {n}")
+
+
+def _attracts(n: int, i: int, k: int, theta_ab: Partition) -> bool:
+    """``attracts_from_theta`` on images already checked, given the small
+    parts i and k of the two singleton images."""
     if i < k:
         i, k = k, i
     if i == k:
@@ -251,6 +259,11 @@ def _rebuild(tbl: ThetaTable, singles: dict[str, Partition]) -> tuple[Graph, dic
 
     # most balanced cut first; ties broken by label position
     order = sorted(tbl.edge_labels, key=lambda lab: (-singles[lab][1], tbl._position[lab]))
+    # The table checked its pair images; each singleton image is checked once
+    # here.  One recovered from pairs that is not a partition has the larger
+    # part second, so it sorts first and is the one refused.
+    for label in order:
+        _check_image(singles[label], 2, n)
     edges: list[tuple[int, int]] = []  # edge k runs from its parent to vertex k + 1
     for index, label in enumerate(order):
         # Cuts shrink down every root path and bigger cuts are placed first,
@@ -259,7 +272,7 @@ def _rebuild(tbl: ThetaTable, singles: dict[str, Partition]) -> tuple[Graph, dic
         for k, placed in enumerate(order[:index]):
             key = tbl.pair_key(placed, label)
             try:
-                if attracts_from_theta(n, singles[placed], singles[label], tbl.pairs[key]):
+                if _attracts(n, singles[placed][1], singles[label][1], tbl.pairs[key]):
                     at = k + 1
             except InconsistentDataError as exc:
                 raise InconsistentDataError(f"pair {key}: {exc}") from None

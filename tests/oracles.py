@@ -12,7 +12,8 @@ suite check CSF equality on glued pairs far beyond what the subset
 enumerator can reach in test time, and counts the state pairs its merges
 take, against which the package's up-front bound on its own DP is checked;
 the set-partition DP's steps are counted by brute force over vertex subsets,
-against that DP's bound.  The collision search is redone the
+against that DP's bound.  The search's candidate count is redone by walking
+every split of the vertices into trees around a cycle.  The collision search is redone the
 earlier way: candidates deduplicated by canonical keys, then bucketed by the
 printed polynomial, and ``line_graph`` reads a printed ``search`` line back
 into its graph.  Triangle reduce is redone depth first, splitting every
@@ -29,6 +30,7 @@ from __future__ import annotations
 
 from collections import deque
 from itertools import combinations, permutations, product
+from math import prod
 
 from csfkit import (
     Graph,
@@ -39,7 +41,7 @@ from csfkit import (
     chromatic_symmetric_function,
     triangle_split,
 )
-from csfkit.graph import _bfs, _components, _level_sequences, _skipped_edge, tree_from_levels
+from csfkit.graph import _bfs, _components, _cycle_orders, _level_sequences, _skipped_edge, tree_from_levels
 
 
 # ---------------------------------------------------------------------------
@@ -332,15 +334,36 @@ def sparse_merge_pairs(g: Graph) -> tuple[int, int]:
     ``csf_codes``) and without (as ``csf_value``), counted on this module's
     DP over the same rooted tree: rooted at vertex 0 for a tree, and for a
     unicyclic g the tree left by the cycle edge x-y that a breadth-first pass
-    from vertex 0 skips, rooted at x and tracking y."""
+    from vertex 0 skips, rooted at x and tracking y.  Without closed sizes a
+    unicyclic g is counted as ``csf_value`` runs it: the hanging trees of
+    the cycle path y .. x, each rooted at its cycle vertex, and then a fold
+    over (open size, size of the first tree's closed component or 0) states
+    around that path from its first smallest tree, one pair per state and
+    root size of the next tree."""
     pairs = [0, 0]
     if g.edge_count < g.vertex_count:
         _rooted_states(g, 0, None, pairs)
         return pairs[0], pairs[1]
     parent = [-1] * g.vertex_count
     x, y = _skipped_edge(g.adjacency, _components(g.adjacency, parent)[0], parent)
-    _rooted_states(g.with_edges_removed([g.index_of(x, y)]), x, y, pairs)
-    return pairs[0], pairs[1]
+    tree = g.with_edges_removed([g.index_of(x, y)])
+    _rooted_states(tree, x, y, pairs)
+    parent = [-1] * g.vertex_count
+    _bfs(tree.adjacency, x, parent)
+    cycle = [y]
+    while cycle[-1] != x:
+        cycle.append(parent[cycle[-1]])
+    hanging = tree.with_edges_removed([tree.index_of(u, v) for u, v in zip(cycle, cycle[1:])])
+    value_pairs, roots = [0, 0], []
+    for v in cycle:
+        roots.append({key[0] for key in _rooted_states(hanging, v, None, value_pairs)})
+    start = min(range(len(roots)), key=lambda i: max(roots[i]))
+    roots = roots[start:] + roots[:start]
+    states, fold = {(a, 0) for a in roots[0]}, 0
+    for sizes in roots[1:]:
+        fold += len(states) * len(sizes)
+        states = {key for a, f in states for b in sizes for key in ((a + b, f), (b, f or a))}
+    return pairs[0], value_pairs[1] + fold
 
 
 def set_partition_steps(g: Graph, codes: bool) -> int:
@@ -384,6 +407,20 @@ def set_partition_steps(g: Graph, codes: bool) -> int:
                     pending.setdefault(left, set()).update(
                         tuple(sorted(held_sizes + (size,))) if codes else () for held_sizes in held)
     return steps
+
+
+def unicyclic_candidates_by_walk(n: int, rooted_counts: list[int], limit: int) -> int:
+    """``search_work`` for unicyclic graphs by the generator's own split rule:
+    at each order k up to n, the product of the rooted tree counts
+    ``rooted_counts[order]`` summed over every split that
+    ``graph._cycle_orders(k)`` yields, stopping at the first count past
+    ``limit``.  Each order costs 2^(k-1) splits."""
+    work = 0
+    for k in range(1, n + 1):
+        work = sum(prod(rooted_counts[order] for order in orders) for _, orders in _cycle_orders(k))
+        if work > limit:
+            break
+    return work
 
 
 # ---------------------------------------------------------------------------

@@ -218,6 +218,13 @@ def test_power_sum_polynomial_refuses_a_term_that_is_not_a_partition_of_its_degr
         PowerSumPolynomial.from_text(f"csf n={degree}\n{partition_key(key)} 1\n")
 
 
+@pytest.mark.parametrize("degree", [-2, -1, 2.0, "2", None])
+def test_power_sum_polynomial_refuses_a_degree_that_is_not_a_nonnegative_int(degree):
+    with pytest.raises(ValueError, match="is not a nonnegative int"):
+        PowerSumPolynomial(degree, {})
+    assert PowerSumPolynomial(0, {(): 1}).terms == {(): 1}
+
+
 def test_first_difference_of_equal_functions_is_none():
     xl = chromatic_symmetric_function(COLLISION_LEFT6)
     xr = chromatic_symmetric_function(COLLISION_RIGHT6)

@@ -115,6 +115,22 @@ def test_random_graphs_6_to_9_vertices():
         assert_kernels_match(g)
 
 
+def test_value_kernel_on_seeded_forests_and_unicyclic_graphs():
+    # relabelled, so cycles, roots and hanging trees fall anywhere in the labels;
+    # a unicyclic graph may carry tree components beside it
+    rng = random.Random(2026)
+    for i in range(300):
+        n = rng.randint(3, 11)
+        edges = [(rng.randrange(v), v) for v in range(1, n)]
+        if i % 2:
+            edges = rng.sample(edges, rng.randint(0, n - 1))  # a forest
+        else:
+            cut = rng.randint(3, n)  # a unicyclic graph on the first cut vertices
+            edges = [e for e in edges if e[1] < cut] + rng.sample(edges[cut - 1:], rng.randint(0, n - cut))
+            edges.append(rng.choice([e for e in combinations(range(cut), 2) if e not in edges]))
+        assert_kernels_match(relabelled(rng, n, edges))
+
+
 def test_mixed_components_cover_every_kernel():
     rng = random.Random(7)
     for _ in range(20):

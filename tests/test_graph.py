@@ -102,6 +102,14 @@ def test_parse_names_the_line_of_the_first_edge_graph_refuses(text, line, messag
     assert str(info.value) == message
 
 
+@pytest.mark.parametrize("edge", [(0.5, 1), (0, 1.0), ("0", 1), (False, 1), (None, 2)])
+def test_graph_refuses_an_endpoint_that_is_not_an_int(edge):
+    # refused when built, not later by a TypeError on reading the adjacency
+    with pytest.raises(ValueError, match="endpoint that is not an int") as info:
+        Graph(3, ((0, 2), edge))
+    assert info.value.edge_index == 1
+
+
 @pytest.mark.parametrize("text, line", [
     ("\u00b3 0\n", 1),  # superscript digits pass str.isdigit but not int()
     ("2 1\n0 \u00b9\n", 2),

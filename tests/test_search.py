@@ -4,23 +4,31 @@
 (cycles with rooted trees attached) must each produce every class exactly once;
 ``run_search`` must group graphs exactly as the earlier route did: deduplicated
 candidates, bucketed by the printed polynomial (``oracles.text_fingerprint_groups``).
-Its hashes (of X_G at a fixed point) only narrow the search; groups rest on the
-exact maps, whatever the point, and a class is enumerated a second time only
-when some hash repeats.
+Its hashes (of X_G at a fixed point, computed on the generators' sequences
+with no graph built, equal to ``csf_value``) only narrow the search; groups
+rest on the exact maps, whatever the point, and the sequences are walked a
+second time, building only the graphs whose hash repeats, only when some hash
+repeats.
 """
 
+import hashlib
+import random
 import tracemalloc
+from math import prod
 
 import pytest
 
-from csfkit import ResourceLimitError, canonical_tree_code, enumerate_trees, enumerate_unicyclic
+from csfkit import Graph, ResourceLimitError, canonical_tree_code, enumerate_trees, enumerate_unicyclic
 from csfkit import graph as graph_module
 from csfkit import search
+from csfkit.csf import csf_value
 from csfkit.search import SEARCH_WORK_LIMIT, run_search, search_work
 
-from oracles import line_graph, prufer_classes, text_fingerprint_groups, unicyclic_canonical_key
+from oracles import (forest_csf, line_graph, prufer_classes, subset_csf, text_fingerprint_groups,
+                     unicyclic_canonical_key, unicyclic_candidates_by_walk, unicyclic_csf)
 
 A000055 = [1, 1, 1, 2, 3, 6, 11, 23, 47, 106, 235, 551]  # free trees, n = 1..12
+A000081 = [0, 1, 1, 2, 4, 9, 20, 48, 115, 286, 719, 1842, 4766, 12486, 32973]  # rooted trees, n = 0..14
 
 
 def test_free_tree_generator_jumps_past_off_center_roots(monkeypatch):
@@ -39,6 +47,43 @@ def test_free_trees_equal_the_pruefer_classes():
         codes = [canonical_tree_code(t) for t in enumerate_trees(n)]
         assert len(set(codes)) == len(codes)
         assert set(codes) == prufer_classes(n)
+
+
+# SHA-256 of csf_value at search._point(n), one decimal value per line, on
+# every tree of 1 to 12 vertices (987) and every unicyclic class of 3 to 10
+# (1,040), in generator order, as the dictionary-keyed tree DP that computed
+# csf_value before the value kernel gave them
+EARLIER_VALUE_DIGESTS = {
+    "tree": "228a7129caf95b41dfba6fce98965b27554c24a615b26fd9534ce85b171b99ca",
+    "unicyclic": "b6eee883de807f314cc95366b8e21cb94af3836dadaafc1cc0769cbf47bfe5d1",
+}
+
+
+def at(x, weights: list[int]) -> int:
+    """A power-sum expansion with each p_s replaced by weights[s]."""
+    return sum(c * prod(weights[s] for s in p) for p, c in x.terms.items())
+
+
+@pytest.mark.parametrize("graph_class, orders, generate, oracle, by_subsets", [
+    ("tree", range(1, 13), enumerate_trees, forest_csf, range(10, 12)),
+    ("unicyclic", range(3, 11), enumerate_unicyclic, unicyclic_csf, range(9, 10)),
+])
+def test_first_pass_values_equal_csf_value_and_the_oracles(graph_class, orders, generate, oracle, by_subsets):
+    # the definition (2^m edge subsets) is run where the existing kernel tests
+    # stop; the component-tracking DP covers every order
+    digest = hashlib.sha256()
+    for n in orders:
+        point, seeded = search._point(n), [random.Random(n).randrange(-1 << 61, 1 << 61) for _ in range(n + 1)]
+        graphs = list(generate(n))
+        values = list(search._values(n, graph_class, point[1:]))
+        assert values == [csf_value(g, point) for g in graphs]
+        digest.update("".join(f"{v}\n" for v in values).encode())
+        want = [at(oracle(g), seeded) for g in graphs]
+        assert list(search._values(n, graph_class, seeded[1:])) == want
+        assert [csf_value(g, seeded) for g in graphs] == want
+        if n in by_subsets:
+            assert [at(subset_csf(g), seeded) for g in graphs] == want
+    assert digest.hexdigest() == EARLIER_VALUE_DIGESTS[graph_class]
 
 
 def _key_groups(groups, key):
@@ -74,39 +119,52 @@ def test_groups_do_not_depend_on_the_point(monkeypatch):
     # p_s -> 1 is the chromatic polynomial at 1, zero for every graph with an edge
     monkeypatch.setattr(search, "_point", lambda n: [1] * (n + 1))
     for (n, graph_class), groups in expected.items():
-        graphs = enumerate_trees(n) if graph_class == "tree" else enumerate_unicyclic(n)
-        assert {search.csf_value(g, [1] * (n + 1)) for g in graphs} == {0}
+        assert set(search._values(n, graph_class, [1] * n)) == {0}
         assert run_search(n, graph_class).groups == groups
 
 
+def counting_walks(monkeypatch) -> list[list]:
+    """Patch both sequence walks of ``search`` to record, per walk, the
+    sequences drawn from it."""
+    drawn = []
+    for name in ("_free_level_sequences", "_unicyclic_sequences"):
+        def walk(*args, real=getattr(search, name), **kwargs):
+            drawn.append([])
+            for seq in real(*args, **kwargs):
+                drawn[-1].append(seq)
+                yield seq
+        monkeypatch.setattr(search, name, walk)
+    return drawn
+
+
+def counting_graphs(monkeypatch) -> list[Graph]:
+    """Patch ``Graph.__post_init__`` to record every graph built."""
+    built, check = [], Graph.__post_init__
+    monkeypatch.setattr(Graph, "__post_init__", lambda g: built.append(g) or check(g))
+    return built
+
+
 def test_second_enumeration_only_when_a_hash_repeats(monkeypatch):
-    calls = []
-    for name in ("enumerate_trees", "enumerate_unicyclic"):
-        monkeypatch.setattr(search, name, lambda n, real=getattr(search, name), name=name:
-                            calls.append(name) or real(n))
+    drawn, built = counting_walks(monkeypatch), counting_graphs(monkeypatch)
     assert run_search(10, "tree").groups == ()
-    assert calls == ["enumerate_trees"]
-    calls.clear()
+    assert (len(drawn), built) == (1, [])
+    drawn.clear()
     assert len(run_search(8, "unicyclic").groups) == 2
-    assert calls == ["enumerate_unicyclic"] * 2
+    assert len(drawn) == 2
 
 
 def test_second_enumeration_stops_at_the_last_repeated_hash(monkeypatch):
+    # the first pass builds no graph; the second walks the sequences up to
+    # the last repeated hash and builds exactly the graphs whose hash repeats
     point = search._point(8)
-    hashes = [hash(search.csf_value(g, point)) for g in enumerate_unicyclic(8)]
+    hashes = [hash(csf_value(g, point)) for g in enumerate_unicyclic(8)]
+    repeated = [g for g, h in zip(enumerate_unicyclic(8), hashes) if hashes.count(h) > 1]
     last = max(i for i, h in enumerate(hashes) if hashes.count(h) > 1)
-    drawn = []
-
-    def counting(n):
-        drawn.append(0)
-        for g in enumerate_unicyclic(n):
-            drawn[-1] += 1
-            yield g
-
-    monkeypatch.setattr(search, "enumerate_unicyclic", counting)
+    drawn, built = counting_walks(monkeypatch), counting_graphs(monkeypatch)
     assert len(run_search(8, "unicyclic").groups) == 2
-    assert drawn == [len(hashes), last + 1]
-    assert last + 1 < len(hashes)
+    assert [len(walk) for walk in drawn] == [len(hashes), last + 1]
+    assert built == repeated
+    assert last + 1 < len(hashes) and len(repeated) < last + 1
 
 
 def test_search_keeps_a_few_bytes_per_graph():
@@ -144,6 +202,11 @@ def test_search_work_counts_the_candidates_visited(monkeypatch):
         visited.clear()
         sum(1 for _ in enumerate_unicyclic(n))
         assert search_work(n, "unicyclic") == len(visited)
+
+
+def test_search_work_equals_the_walk_over_every_split():
+    for n in range(1, 17):
+        assert search_work(n, "unicyclic") == unicyclic_candidates_by_walk(n, A000081, SEARCH_WORK_LIMIT), n
 
 
 def test_work_limit_admits_tree_18_and_unicyclic_14_only():

@@ -511,6 +511,20 @@ def test_both_routes_run_one_reconstruction(n):
         assert canonical_tree_code(tree) == canonical_tree_code(g)
 
 
+def test_rebuild_checks_each_singleton_image_once(monkeypatch):
+    # the table checked its images; each rebuild checks each singleton image
+    # once more, and no pair runs the public, checking attraction test
+    checked = []
+    monkeypatch.setattr(treedata, "_check_image", lambda img, parts, n: checked.append((img, parts)))
+    monkeypatch.setattr(treedata, "attracts_from_theta", None)
+    tbl = theta_tables(CUT_TABLE13_TREE)
+    for rebuild in (reconstruct_from_theta, reconstruct_from_pairs):
+        checked.clear()
+        tree, _ = rebuild(tbl)
+        assert canonical_tree_code(tree) == canonical_tree_code(CUT_TABLE13_TREE)
+        assert sorted(checked) == sorted((img, 2) for img in tbl.singletons.values())
+
+
 def test_reconstruct_from_pairs_builds_no_second_table(monkeypatch):
     tables = [replace(theta_tables(t), singletons={}) for t in (STAR4, CUT_TABLE13_TREE)]
     built = []
