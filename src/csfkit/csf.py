@@ -24,14 +24,16 @@ pairs before it is taken.
 
 from __future__ import annotations
 
+from array import array
+from bisect import bisect_right
 from dataclasses import dataclass
 from functools import cache
 from itertools import accumulate
-from math import comb
-from operator import mul
+from math import comb, isqrt
+from operator import add, mul
 
 from .errors import ResourceLimitError
-from .graph import Graph, _components, _root_path, _skipped_edge, is_forest
+from .graph import Graph, _components, _reroot_on_cycle, is_forest
 from .partitions import Partition, _is_partition, parse_partition_key, partition_key
 
 # Steps one graph may take, a step being one dictionary update or one set c's
@@ -95,42 +97,35 @@ def _refuse(what: str, budget: int) -> None:
     raise ResourceLimitError(f"{what} more than the {budget} steps left of the limit of {WORK_LIMIT}")
 
 
-def _tree_dp(adj, order: list[int], parent: list[int], tracked: int | None, budget: int):
-    """``csf_codes`` on a tree component (tracked None), or a unicyclic one with
-    root-tracked on the cycle: its bound on its merge work, and the DP as a
-    function of (pw, mult), mult unused (all ones with codes).
+def _tree_dp(adj, order: list[int], parent: list[int], cycle: list[int], budget: int):
+    """``csf_codes`` on a tree component (cycle empty), or a unicyclic one
+    whose cycle, as ``_reroot_on_cycle`` gives it, runs from the tracked
+    vertex y = cycle[0] up to the root: its bound on its merge work, and the
+    DP as a function of (pw, mult), mult unused (all ones with codes).
 
-    A rooted DP over the tree left once the edge root-tracked is dropped,
-    given by its parent list (root = order[0] is its own parent) and an order
-    listing each vertex after its parent; adj may keep the dropped edge.
-    A state is (root's component size, t, code of the closed component sizes)
-    -> signed subset count, where t is 0 when nothing is tracked, -1 while the
-    tracked vertex shares the root's component, and the size of its component
-    once that closed.  Taking the dropped edge fuses those two components and
-    flips the sign, which cancels every state with t == -1.  Closing a
-    component of size s adds pw[s] to the code; the tracked vertex's
-    component is coded at the root, once its size is final.
+    A rooted DP over the tree left once the edge root-y is dropped, given by
+    its parent list (root = order[0] is its own parent) and an order listing
+    each vertex after its parent; adj may keep the dropped edge.  A state is
+    (root's component size, t, code of the closed component sizes) -> signed
+    subset count, where t is 0 when nothing is tracked, -1 while y shares the
+    root's component, and the size of y's component once that closed.
+    Taking the dropped edge fuses those two components and flips the sign,
+    which cancels every state with t == -1.  Closing a component of size s
+    adds pw[s] to the code; y's component is coded at the root, once its
+    size is final.
 
-    The bound sums the merge loop's pairs from subtree sizes, two steps each:
-    s vertices hold at most bound[s] = sum over j < s of p(j) states, one per
-    root size s - j and size multiset of the j closed vertices (p(j) read off
-    ``_partition_table``).  On the tracked vertex's root path a closed tracked
-    component of t vertices leaves j - t, so there bound[s] + sum over j < s
-    of bound[j].  p(j) is counted for j < 64 only: bound[64] is above
-    WORK_LIMIT.
+    The bound sums the merge loop's pairs from subtree sizes, two steps each,
+    each side's states read off ``_states`` by its merged size and largest
+    merged child subtree, and by whether it lies on the cycle.
     """
-    root, table = order[0], _partition_table()
-    bound = list(accumulate((table[j][j] if j < 64 else 1 for j in range(len(order))), initial=0))
-    weigh = dict.fromkeys(order, bound)  # each vertex's table, by its subtree's size
-    if tracked is not None:
-        on_path = [b + below for b, below in zip(bound, accumulate(bound, initial=0))]
-        weigh.update(dict.fromkeys(_root_path(parent, tracked), on_path))
-    size, work = dict.fromkeys(order, 1), 0
+    root, tracked, on_cycle = order[0], cycle[0] if cycle else None, set(cycle)
+    size, heavy, work = dict.fromkeys(order, 1), dict.fromkeys(order, 0), 0  # heavy: largest child subtree
     for v in reversed(order):
         for c in adj[v]:
             if parent[c] == v:
-                work += weigh[c][size[c]] * weigh[v][size[v]]
+                work += _states(size[c], heavy[c], c in on_cycle) * _states(size[v], heavy[v], v in on_cycle)
                 size[v] += size[c]
+                heavy[v] = max(heavy[v], size[c])
     _check_merge_work(len(order), work, budget)
 
     def run(pw: list[int], mult: list[int]) -> dict[int, int]:
@@ -164,6 +159,43 @@ def _tree_dp(adj, order: list[int], parent: list[int], tracked: int | None, budg
         return terms
 
     return 2 * work, run
+
+
+def _states(s: int, h: int, on_cycle: bool) -> int:
+    """A bound on the tree DP's states at a vertex whose merged subtree has s
+    vertices, the largest of its merged child subtrees h.  Closed components
+    lie inside one child subtree each, so there is at most one state per root
+    size s - j and partition of the j closed vertices into parts <= h: the
+    sum over j < s of q[h][j], read off ``_state_rows``.  On the cycle, y's
+    component closed with t vertices leaves a partition of j - t, which adds
+    the sum over j < s of the bound at j.  For h <= 1 every part is 1: s
+    states, and s(s - 1)/2 more on the cycle."""
+    if h < 2:
+        return s + on_cycle * (s * (s - 1) // 2)
+    row = _state_rows()[on_cycle][min(h, 63)]
+    return row[min(s, len(row) - 1)]
+
+
+@cache
+def _state_rows(limit: int = WORK_LIMIT) -> tuple[tuple[array, ...], tuple[array, ...]]:
+    """(off, on) with off[h][s] = sum over j < s of q[h][j], the partitions
+    of j into parts <= h (equally, into at most h parts), and on[h][s] =
+    off[h][s] + sum over j < s of off[h][j], for 2 <= h < 64.  A row stops at
+    its first entry above the limit, which stands for every later one; the
+    limit is the one the module loads with, so a lowered WORK_LIMIT does not
+    shorten the cached rows.  Row 63 serves every larger h: from h = 63 on
+    only s > h is read, and the row has passed the limit by s = 64.  The
+    12,222 entries are 64-bit arrays: about 100 KB, a quarter of int tuples."""
+    q, off, on = array("q", [1]) * (2 * isqrt(limit) + 3), [(), ()], [(), ()]  # q[j]: parts <= h
+    for h in range(2, 64):
+        for j in range(h, len(q)):
+            q[j] += q[j - h]
+        row = array("q", accumulate(q, initial=0))
+        off.append(row[:bisect_right(row, limit) + 1])
+        row = array("q", map(add, row, accumulate(row, initial=0)))
+        on.append(row[:bisect_right(row, limit) + 1])
+        del q[len(off[-1]) - 1:]  # a later row passes the limit no later
+    return tuple(off), tuple(on)
 
 
 def _check_merge_work(k: int, pairs: int, budget: int) -> None:
@@ -233,21 +265,19 @@ def _fold_pairs(sizes: list[int]) -> int:
     return pairs
 
 
-def _value_dp(adj, order: list[int], parent: list[int], tracked: int | None, budget: int):
+def _value_dp(adj, order: list[int], parent: list[int], cycle: list[int], budget: int):
     """``csf_value`` on the rooted tree ``_tree_dp`` takes: its bound on its
     merge work, and the DP as a function of (pw, mult), pw unused and mult[s]
     the weight of a part of size s.
 
     Each vertex merges its children's lists into its own.  A tree's value
-    closes the root's list.  With a tracked vertex, its root path and the
-    dropped edge are the cycle: a vertex there takes no child on the cycle,
-    so it keeps its hanging tree's list, and ``_cycle_value`` folds those from
-    the first smallest tree on the path.  The bound sums, two steps each, the
-    products of the two list lengths (subtree sizes) over the merges, as
-    ``_tree_dp`` counts pairs with one state per root size, and the fold's
-    ``_fold_pairs``.
+    closes the root's list.  On a unicyclic component a vertex of ``cycle``
+    takes no child on it, so it keeps its hanging tree's list, and
+    ``_cycle_value`` folds those from the first smallest tree on the path.
+    The bound sums, two steps each, the products of the two list lengths
+    (subtree sizes) over the merges, as ``_tree_dp`` counts pairs with one
+    state per root size, and the fold's ``_fold_pairs``.
     """
-    cycle = _root_path(parent, tracked) if tracked is not None else []
     size, work, on_cycle = dict.fromkeys(order, 1), 0, set(cycle)
     for v in reversed(order):
         for c in adj[v]:
@@ -279,8 +309,8 @@ def _value_dp(adj, order: list[int], parent: list[int], tracked: int | None, bud
 
 @cache
 def _partition_table() -> tuple[tuple[int, ...], ...]:
-    """q[i][d], the partitions of d into at most i parts, for i, d < 64: the
-    tree DP reads p(d) = q[d][d], the set-partition DP rows below its k <= 23."""
+    """q[i][d], the partitions of d into at most i parts, for i, d < 64, which
+    the set-partition DP reads for its k <= 23."""
     q = [[1] + [0] * 63]
     for i in range(1, 64):
         q.append(list(q[-1]))
@@ -405,28 +435,22 @@ def _expansion(g: Graph, weights: list[int] | None) -> dict[int, int]:
     size s adds (n+1)^(s-1) to the code; otherwise every code is 0 and the
     part multiplies by weights[s] (weights[0] = 1).
 
-    One breadth-first pass gives each component's vertices in order, its
-    cyclomatic number r and, for r = 1, the edge to drop: the one it skipped.
-    Every component's kernel bounds its work before any kernel runs, and the
-    code table is built after that, for parts up to the largest component.
+    One breadth-first pass gives each component's vertices in order and its
+    cyclomatic number r; for r = 1, ``_reroot_on_cycle`` re-roots the pass's
+    tree at one end of the edge it skipped, which is dropped, and gives the
+    cycle.  Every component's kernel bounds its work before any kernel runs,
+    and the code table is built after that, for parts up to the largest
+    component.
     """
     n, adj = g.vertex_count, g.adjacency
     codes, parent, work, runs, longest = weights is None, [-1] * n, 0, [], 0
     for comp in _components(adj, parent):
         r = sum(len(adj[v]) for v in comp) // 2 - len(comp) + 1
-        order, tracked = comp, None
-        if r == 1:  # the pass's tree, re-rooted at x: path links reversed, path first
-            x, tracked = _skipped_edge(adj, comp, parent)
-            path = _root_path(parent, x)
-            for child, above in zip(path, path[1:]):
-                parent[above] = child
-            parent[x] = x
-            on_path = set(path)
-            order = path + [v for v in comp if v not in on_path]
         if r >= 2:
             bound, run = _set_partition_dp(comp, adj, codes, WORK_LIMIT - work)
         else:
-            bound, run = (_tree_dp if codes else _value_dp)(adj, order, parent, tracked, WORK_LIMIT - work)
+            order, cycle = _reroot_on_cycle(adj, comp, parent) if r else (comp, [])
+            bound, run = (_tree_dp if codes else _value_dp)(adj, order, parent, cycle, WORK_LIMIT - work)
         work += bound
         runs.append(run)
         longest = max(longest, len(comp))

@@ -275,11 +275,7 @@ def structural_report(g: Graph) -> StructuralReport:
 def vertex_weights(t: Graph) -> list[int]:
     """weight(v) = largest component order of T - v (0 for the 1-vertex tree):
     the larger of v's largest child subtree and the rest of T above v."""
-    return _weights(*require_tree(t, "vertex_weights"))
-
-
-def _weights(order: list[int], parent: list[int]) -> list[int]:
-    """``vertex_weights`` from a breadth-first pass over the whole tree."""
+    order, parent = require_tree(t, "vertex_weights")
     n = len(order)
     size, heavy = [1] * n, [0] * n  # heavy: largest child subtree
     for v in reversed(order[1:]):
@@ -291,10 +287,7 @@ def _weights(order: list[int], parent: list[int]) -> list[int]:
 
 def centroid(t: Graph) -> tuple[int, ...]:
     """Vertices of minimum weight: one vertex, or two adjacent vertices."""
-    return _lightest(vertex_weights(t))
-
-
-def _lightest(weights: list[int]) -> tuple[int, ...]:
+    weights = vertex_weights(t)
     low = min(weights)
     verts = tuple(v for v, w in enumerate(weights) if w == low)
     assert len(verts) in (1, 2)
@@ -308,25 +301,29 @@ class CycleStats:
     degree2_on_cycle: int  # I
 
 
-def _skipped_edge(adj, order: list[int], parent: list[int]) -> tuple[int, int]:
-    """The first edge at ``order`` that the breadth-first pass leaving ``parent``
-    did not take: in a unicyclic component, the only one, and on the cycle."""
-    return next((x, y) for x in order for y in adj[x] if parent[x] != y and parent[y] != x)
+def _reroot_on_cycle(adj, order: list[int], parent: list[int]) -> tuple[list[int], list[int]]:
+    """Re-root a unicyclic component's breadth-first tree, given by ``_bfs``'s
+    order and ``parent``, at x, one end of the edge x-y the pass skipped (the
+    only one, and on the cycle): the links on x's root path are reversed in
+    ``parent`` and that path leads the new order.  Returns the new order and
+    the cycle y .. x, which is y's path up to the new root."""
+    x, y = next((x, y) for x in order for y in adj[x] if parent[x] != y and parent[y] != x)
+    path = _root_path(parent, x)
+    for child, above in zip(path, path[1:]):
+        parent[above] = child
+    parent[x] = x
+    on_path = set(path)
+    return path + [v for v in order if v not in on_path], _root_path(parent, y)
 
 
 def cycle_vertices(g: Graph) -> list[int]:
-    """Vertices of the unique cycle of a connected unicyclic graph, sorted: the
-    edge a breadth-first pass skips, closed by the pass's parent paths from its
-    two ends up to where they meet."""
+    """Vertices of the unique cycle of a connected unicyclic graph, sorted,
+    from ``_reroot_on_cycle`` on a breadth-first pass from vertex 0."""
     n, adj = g.vertex_count, g.adjacency
     parent = [-1] * n
     if not n or g.edge_count != n or len(order := _bfs(adj, 0, parent)) != n:
         raise ValueError("expected a connected unicyclic graph")
-    up, down = (_root_path(parent, v) for v in _skipped_edge(adj, order, parent))
-    while up[-1] == down[-1]:  # drop the shared tail; its lowest vertex is where they meet
-        meet = up.pop()
-        down.pop()
-    return sorted(up + down + [meet])
+    return sorted(_reroot_on_cycle(adj, order, parent)[1])
 
 
 def cycle_stats(g: Graph) -> CycleStats:
@@ -370,14 +367,20 @@ def canonical_tree_code(t: Graph) -> str:
     return min(rooted_code(t, c) for c in _tree_centers(t, order[-1]))
 
 
-def _successor(levels: list[int], p: int) -> None:
+def _successor(levels: list[int], p: int = 0) -> bool:
     """Beyer-Hedetniemi step in place: regenerate levels[p:] by repeating the
-    stretch from the last vertex q < p one level above p, period p - q."""
+    stretch from the last vertex q < p one level above p, period p - q.  With
+    p = 0 the step is at the last vertex deeper than level 2, found from the
+    end; False, with levels unchanged, when there is none."""
+    p = p or next((i for i in range(len(levels) - 1, 0, -1) if levels[i] > 2), 0)
+    if not p:
+        return False
     q = p - 1
     while levels[q] != levels[p] - 1:
         q -= 1
     for i in range(p, len(levels)):
         levels[i] = levels[i - (p - q)]
+    return True
 
 
 def _level_sequences(n: int) -> Iterator[tuple[int, ...]]:
@@ -389,11 +392,7 @@ def _level_sequences(n: int) -> Iterator[tuple[int, ...]]:
     """
     levels = list(range(1, n + 1))
     yield tuple(levels)
-    while True:
-        p = max((i for i in range(n) if levels[i] > 2), default=-1)
-        if p < 0:
-            return
-        _successor(levels, p)
+    while _successor(levels):
         yield tuple(levels)
 
 
@@ -431,10 +430,8 @@ def _free_level_sequences(n: int) -> Iterator[tuple[int, ...]]:
         m = _second_child(levels)
         if _center_rooted(levels, m):
             yield tuple(levels)
-            p = max((i for i in range(n) if levels[i] > 2), default=-1)
-            if p < 0:
+            if not _successor(levels):
                 return
-            _successor(levels, p)
         else:
             # A step at a grandchild of the root fills the rest with copies of
             # the new first subtree, which already balance it; after a deeper
@@ -483,25 +480,25 @@ def _least_turn(seq: tuple) -> bool:
     return all(seq <= twice[i:i + p] and seq <= back[i:i + p] for i in range(p))
 
 
-def _cycle_orders(n: int) -> Iterator[tuple[tuple[int, ...], list[int]]]:
-    """Each way to split n vertices into p >= 3 consecutive trees, the first
-    a smallest, as (cuts, orders): each later tree's first vertex, and every
-    tree's order."""
+def _cycle_orders(n: int) -> Iterator[list[int]]:
+    """The tree orders of each way to split n vertices into p >= 3
+    consecutive trees, the first a smallest."""
     for p in range(3, n + 1):
         for cuts in combinations(range(1, n), p - 1):
             orders = [b - a for a, b in zip((0,) + cuts, cuts + (n,))]
             if orders[0] == min(orders):
-                yield cuts, orders
+                yield orders
 
 
-def _hanging_trees(n: int) -> list[tuple[int, ...]]:
-    """The canonical level sequence of every rooted tree that can hang at a
+def _hanging_trees(n: int) -> list[tuple[tuple[int, ...], list[int]]]:
+    """Level sequence and parent list of each rooted tree that can hang at a
     cycle vertex of an n-vertex unicyclic graph (1 to n - 2 vertices), by
     rank: by order, then by place in the Beyer-Hedetniemi scan."""
-    return [levels for order in range(1, n - 1) for levels in _level_sequences(order)]
+    return [(levels, _level_parents(levels))
+            for order in range(1, n - 1) for levels in _level_sequences(order)]
 
 
-def _unicyclic_sequences(n: int, trees: list[tuple[int, ...]]) -> Iterator[tuple[int, ...]]:
+def _unicyclic_sequences(n: int, trees: list) -> Iterator[tuple[int, ...]]:
     """One sequence of ranks in ``trees`` (``_hanging_trees(n)``) per class of
     connected unicyclic graphs on n vertices: the trees around the cycle.
 
@@ -510,23 +507,23 @@ def _unicyclic_sequences(n: int, trees: list[tuple[int, ...]]) -> Iterator[tuple
     smaller (one that starts with a larger tree always has a smaller rotation).
     """
     ranks: list[list[int]] = [[] for _ in range(n + 1)]  # by order
-    for rank, levels in enumerate(trees):
+    for rank, (levels, _) in enumerate(trees):
         ranks[len(levels)].append(rank)
-    for _, orders in _cycle_orders(n):
+    for orders in _cycle_orders(n):
         for seq in product(*(ranks[order] for order in orders)):
             if _least_turn(seq):
                 yield seq
 
 
-def unicyclic_from_ranks(seq: tuple[int, ...], trees: list[tuple[int, ...]]) -> Graph:
+def unicyclic_from_ranks(seq: tuple[int, ...], trees: list) -> Graph:
     """The unicyclic graph of a rank sequence: a cycle through len(seq)
     vertices, the i-th the root of tree ``trees[seq[i]]``, whose vertices are
     numbered consecutively from it in level-sequence order."""
-    roots = list(accumulate((len(trees[rank]) for rank in seq[:-1]), initial=0))
-    n = roots[-1] + len(trees[seq[-1]])
+    ups = [trees[rank][1] for rank in seq]
+    roots = list(accumulate(map(len, ups), initial=0))
+    n = roots.pop()
     edges = [(roots[i - 1], roots[i]) for i in range(1, len(roots))] + [(0, roots[-1])]
-    for root, rank in zip(roots, seq):
-        up = _level_parents(trees[rank])
+    for root, up in zip(roots, ups):
         edges += [(root + up[i], root + i) for i in range(1, len(up))]
     return Graph(n, tuple(sorted(edges)))
 

@@ -111,19 +111,19 @@ def _rooted(levels: tuple[int, ...], memo: dict, weight: list[int]) -> list[int]
     return mine
 
 
-def _values(n: int, graph_class: str, weight: list[int]) -> Iterator[int]:
+def _values(n: int, trees: list | None, weight: list[int]) -> Iterator[int]:
     """X_G at ``weight`` (weight[s - 1] for p_s) for each graph of the class,
-    in generator order, from its sequence: a tree's level sequence, or a
-    unicyclic graph's ranks, whose hanging trees' lists are computed once and
-    folded by ``csf._cycle_value``.  The memo of proper subtrees lives as long
-    as this generator, so nothing is kept from one search to the next."""
+    in generator order, from its sequence: a tree's level sequence (trees
+    None), or a unicyclic graph's ranks in ``trees``, whose hanging trees'
+    lists are computed once and folded by ``csf._cycle_value``.  The memo of
+    proper subtrees lives as long as this generator, so nothing is kept from
+    one search to the next."""
     memo: dict[tuple[int, ...], tuple[list[int], int]] = {}
-    if graph_class == "tree":
+    if trees is None:
         for levels in _free_level_sequences(n):
             yield sum(map(mul, _rooted(levels, memo, weight), weight))
     else:
-        trees = _hanging_trees(n)
-        hanging = [_rooted(levels, memo, weight) for levels in trees]
+        hanging = [_rooted(levels, memo, weight) for levels, _ in trees]
         for seq in _unicyclic_sequences(n, trees):
             yield _cycle_value([hanging[rank] for rank in seq], weight)
 
@@ -141,17 +141,17 @@ def run_search(n: int, graph_class: str) -> CollisionReport:
         )
     if n < 1:
         raise ValueError("n must be at least 1")
-    hashes = array("q", map(hash, _values(n, graph_class, _point(n)[1:])))
+    trees = _hanging_trees(n) if graph_class == "unicyclic" else None  # one table for both passes
+    hashes = array("q", map(hash, _values(n, trees, _point(n)[1:])))
     seen, shared = set(), set()
     for h in hashes:
         (shared if h in seen else seen).add(h)
     exact: dict[frozenset, list[str]] = {}
     if shared:  # hashes lead the zip, so the walk stops at the last repeated position
         last = next(i for i in reversed(range(len(hashes))) if hashes[i] in shared)
-        if graph_class == "tree":
+        if trees is None:
             walk, build = _free_level_sequences(n), tree_from_levels
         else:
-            trees = _hanging_trees(n)
             walk, build = _unicyclic_sequences(n, trees), partial(unicyclic_from_ranks, trees=trees)
         for h, seq in zip(hashes[:last + 1], walk):
             if h in shared:

@@ -41,7 +41,7 @@ from csfkit import (
     chromatic_symmetric_function,
     triangle_split,
 )
-from csfkit.graph import _bfs, _components, _cycle_orders, _level_sequences, _skipped_edge, tree_from_levels
+from csfkit.graph import _bfs, _components, _cycle_orders, _level_sequences, tree_from_levels
 
 
 # ---------------------------------------------------------------------------
@@ -344,8 +344,8 @@ def sparse_merge_pairs(g: Graph) -> tuple[int, int]:
     if g.edge_count < g.vertex_count:
         _rooted_states(g, 0, None, pairs)
         return pairs[0], pairs[1]
-    parent = [-1] * g.vertex_count
-    x, y = _skipped_edge(g.adjacency, _components(g.adjacency, parent)[0], parent)
+    adj, parent = g.adjacency, [-1] * g.vertex_count
+    x, y = next((x, y) for x in _bfs(adj, 0, parent) for y in adj[x] if parent[x] != y and parent[y] != x)
     tree = g.with_edges_removed([g.index_of(x, y)])
     _rooted_states(tree, x, y, pairs)
     parent = [-1] * g.vertex_count
@@ -417,7 +417,7 @@ def unicyclic_candidates_by_walk(n: int, rooted_counts: list[int], limit: int) -
     ``limit``.  Each order costs 2^(k-1) splits."""
     work = 0
     for k in range(1, n + 1):
-        work = sum(prod(rooted_counts[order] for order in orders) for _, orders in _cycle_orders(k))
+        work = sum(prod(rooted_counts[order] for order in orders) for orders in _cycle_orders(k))
         if work > limit:
             break
     return work

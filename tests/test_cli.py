@@ -39,7 +39,7 @@ from fixtures import (
     TWO_CENTROID_PAIR14_LEFT,
     cut_table13,
 )
-from oracles import unicyclic_canonical_key
+from oracles import forest_csf, unicyclic_canonical_key
 
 
 def write_graph(tmp_path, name, g: Graph) -> str:
@@ -143,8 +143,8 @@ def test_csf_resource_limit_exit_code(tmp_path, capsys):
     path = write_graph(tmp_path, "p70.graph", path_graph(70))
     code, out, err = run(capsys, ["csf", path])
     assert (code, out) == (4, "")
-    assert err == ("error: the tree DP on a component of 70 vertices may merge 123874183 state "
-                   "pairs, 247748366 steps, more than the 4194304 steps left of the limit of 4194304\n")
+    assert err == ("error: the tree DP on a component of 70 vertices may merge 79751639 state "
+                   "pairs, 159503278 steps, more than the 4194304 steps left of the limit of 4194304\n")
 
 
 def test_csf_work_limit_exit_code(tmp_path, capsys):
@@ -169,6 +169,15 @@ def test_oversized_csf_input_exits_4_at_once(tmp_path, capsys, text, message):
     assert (code, out) == (4, "")
     assert err.startswith(message)
     assert time.monotonic() - start < 1.0
+
+
+@pytest.mark.parametrize("n", [70, 200])
+def test_csf_runs_on_stars(tmp_path, capsys, n):
+    # the tree DP's bound weighs states by parts no larger than a largest child
+    # subtree, so a star's leaves count s states at s merged vertices
+    star = Graph(n, tuple((0, v) for v in range(1, n)))
+    code, out, _ = run(capsys, ["csf", write_graph(tmp_path, "star.graph", star)])
+    assert (code, out) == (0, forest_csf(star).to_text())
 
 
 def test_csf_runs_past_30_edges_by_default(tmp_path, capsys):
@@ -383,8 +392,8 @@ def test_make_pair_refused_writes_no_files(tmp_path, capsys):
     prefix = str(tmp_path / "big")
     code, out, err = run(capsys, ["make-pair", p10, "0", p10, "0", "--out", prefix])
     assert (code, out) == (4, "")
-    assert err == ("error: the tree DP on a component of 40 vertices may merge 11730539 state "
-                   "pairs, 23461078 steps, more than the 4194304 steps left of the limit of 4194304\n")
+    assert err == ("error: the tree DP on a component of 40 vertices may merge 11594309 state "
+                   "pairs, 23188618 steps, more than the 4194304 steps left of the limit of 4194304\n")
     assert not os.path.exists(f"{prefix}_h.graph")
     assert not os.path.exists(f"{prefix}_j.graph")
 

@@ -227,6 +227,20 @@ def test_tree_dp_bound_is_exact_on_paths_from_an_end():
         assert tree_dp_bound(p, False) == sparse_merge_pairs(p)[1] == n * (n - 1) // 2
 
 
+def test_tree_dp_bound_weighs_parts_by_the_largest_child_subtree():
+    # a star's centre holds s states at s merged vertices: 1 + 2 + ... + (n - 1) pairs
+    for n in (70, 200):
+        assert tree_dp_bound(Graph(n, tuple((0, v) for v in range(1, n))), True) == n * (n - 1) // 2
+    # a path or cycle from the root has one child per vertex, as large as it can be
+    assert [tree_dp_bound(g, True) for g in (path(44), path(45), cycle(37), cycle(38))] == [
+        1_751_584, 2_127_910, 2_046_045, 2_563_840]
+    # 40 legs of two vertices close up to 80 vertices in parts of at most 2
+    spider = Graph(81, tuple(edge for i in range(1, 80, 2) for edge in ((0, i), (i, i + 1))))
+    assert tree_dp_bound(spider, True) >= sparse_merge_pairs(spider)[0]
+    # a row's last entry, read for every later size, is above the limit
+    assert all(row[-1] > csf.WORK_LIMIT for rows in csf._state_rows() for row in rows[2:])
+
+
 def test_paths_run_by_default_within_the_tree_dp_limit():
     assert len(csf_codes(path(32))) == 8349  # p(32)
     assert len(csf_codes(path(40))) == 37338  # p(40)

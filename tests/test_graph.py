@@ -1,4 +1,5 @@
 import random
+import time
 from itertools import combinations
 from math import comb, factorial
 
@@ -22,8 +23,8 @@ from csfkit import (
     vertex_weights,
 )
 from csfkit import graph
-from csfkit.graph import (_components, _tree_centers, cycle_vertices, is_forest, require_tree,
-                          rooted_code)
+from csfkit.graph import (_bfs, _components, _hanging_trees, _reroot_on_cycle, _tree_centers, cycle_vertices,
+                          is_forest, require_tree, rooted_code)
 
 from fixtures import (
     ATTRACTION_TREE17,
@@ -344,6 +345,50 @@ def test_cycle_vertices_match_leaf_stripping():
                 assert cycle_vertices(h) == cycle_vertices_by_stripping(h), h
 
 
+def assert_rerooted_on_cycle(g: Graph) -> list[int]:
+    """``_reroot_on_cycle`` after a breadth-first pass from 0 on the connected
+    unicyclic g gives an order listing each vertex after its parent, over
+    tree edges of g, with the root its own parent, and the cycle as a closed
+    path of parent links up to the root.  Returns the cycle."""
+    n, adj = g.vertex_count, g.adjacency
+    parent = [-1] * n
+    order, cycle = _reroot_on_cycle(adj, _bfs(adj, 0, parent), parent)
+    place = {v: i for i, v in enumerate(order)}
+    assert sorted(order) == list(range(n))
+    assert parent[order[0]] == order[0] == cycle[-1]
+    assert all(place[parent[v]] < place[v] and parent[v] in adj[v] for v in order[1:])
+    assert [parent[v] for v in cycle[:-1]] == cycle[1:]
+    assert cycle[-1] in adj[cycle[0]] and len(set(cycle)) == len(cycle) >= 3
+    return cycle
+
+
+def test_reroot_on_cycle_gives_a_rooted_order_and_the_cycle():
+    rng = random.Random(23)
+    for n in range(3, 10):
+        for g in enumerate_unicyclic(n):
+            for h in (g, relabelled(rng, n, g.edges)):
+                assert sorted(assert_rerooted_on_cycle(h)) == cycle_vertices_by_stripping(h), h
+
+
+def test_reroot_on_a_long_cycle_needs_no_recursion():
+    # a 5,000-vertex cycle with 3,000 vertices hung on it as random trees;
+    # every parent path is walked in a loop, far past the recursion limit
+    rng, p, n = random.Random(5), 5000, 8000
+    edges = [(v, v + 1) for v in range(p - 1)] + [(0, p - 1)] + [(rng.randrange(v), v) for v in range(p, n)]
+    perm = list(range(n))
+    rng.shuffle(perm)
+    g = Graph(n, tuple(sorted(tuple(sorted((perm[a], perm[b]))) for a, b in edges)))
+    assert sorted(assert_rerooted_on_cycle(g)) == cycle_vertices(g) == sorted(perm[:p])
+
+
+def test_hanging_tree_parents_are_listed_once_per_rank(monkeypatch):
+    ranks, calls = len(_hanging_trees(9)), []
+    real = graph._level_parents
+    monkeypatch.setattr(graph, "_level_parents", lambda levels: calls.append(levels) or real(levels))
+    assert sum(1 for _ in enumerate_unicyclic(9)) == 240
+    assert len(calls) <= ranks
+
+
 # ---------------------------------------------------------------------------
 # canonical codes and enumeration
 
@@ -530,6 +575,17 @@ def _spider_case():
         edges += [(first + d, first + d + 1) for d in range(999)]
     weights = [1000] + [2000 + d for _ in range(3) for d in range(1, 1001)]
     return 3001, edges, weights, 0, "(" + _chain(1000) * 3 + ")"
+
+
+def test_weights_and_centroid_of_a_long_path_take_linear_time():
+    n = 100_000
+    g = relabelled(random.Random(3), n, [(v, v + 1) for v in range(n - 1)])
+    assert g.adjacency  # built before the clock starts
+    start = time.perf_counter()
+    weights, middle = vertex_weights(g), centroid(g)
+    assert time.perf_counter() - start < 1.0
+    assert sorted(weights) == sorted(max(i, n - 1 - i) for i in range(n))
+    assert len(middle) == 2 and {weights[v] for v in middle} == {n // 2}
 
 
 @pytest.mark.parametrize("case", [_path_case, _spider_case], ids=["path5001", "spider3x1000"])
