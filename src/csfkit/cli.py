@@ -16,7 +16,7 @@ import functools
 import hashlib
 import sys
 
-from .csf import PowerSumPolynomial, chromatic_symmetric_function, csf_codes, csf_value, first_difference
+from .csf import PowerSumPolynomial, _csf_text, csf_codes, csf_value, first_difference
 from .errors import CsfkitError, ResourceLimitError
 from .graph import Graph, parse_graph
 from .pairgen import RootedTree, glue_rooted_trees
@@ -53,7 +53,7 @@ def _decimal(x: int) -> str:
 def cmd_csf(args) -> int:
     g, k = _load_graph(args.input), args.chromatic
     if k is None:
-        print(chromatic_symmetric_function(g).to_text(), end="")
+        print(_csf_text(g.vertex_count, csf_codes(g)), end="")
     elif k < 0:
         raise ValueError("k must be nonnegative")
     else:  # every p_s becomes k
@@ -63,11 +63,12 @@ def cmd_csf(args) -> int:
 
 def cmd_equal(args) -> int:
     g, h = _load_graph(args.file_a), _load_graph(args.file_b)
-    diff = first_difference(chromatic_symmetric_function(g), chromatic_symmetric_function(h))
-    if diff is None:
+    x, y = csf_codes(g), csf_codes(h)
+    if g.vertex_count == h.vertex_count and x == y:  # equal code maps at one count: equal functions
         print("EQUAL")
         return 0
-    where, va, vb = diff
+    where, va, vb = first_difference(PowerSumPolynomial.from_codes(g.vertex_count, x),
+                                     PowerSumPolynomial.from_codes(h.vertex_count, y))
     print(f"DIFFER at {where if where == 'degree' else partition_key(where)}: {va} vs {vb}")
     return 1
 
@@ -116,8 +117,7 @@ def cmd_make_pair(args) -> int:
     path_j = f"{args.out}_j.graph"
     _write_text(path_h, h.to_text())
     _write_text(path_j, j.to_text())
-    text = PowerSumPolynomial.from_codes(h.vertex_count, codes).to_text()
-    digest = hashlib.sha256(text.encode("ascii")).hexdigest()
+    digest = hashlib.sha256(_csf_text(h.vertex_count, codes).encode("ascii")).hexdigest()
     print(path_h)
     print(path_j)
     print(f"csf-sha256 {digest}")

@@ -28,8 +28,8 @@ class Graph:
     edges: tuple[tuple[int, int], ...]
 
     def __post_init__(self):
-        if self.vertex_count < 0:
-            raise ValueError("vertex_count must be nonnegative")
+        if type(self.vertex_count) is not int or self.vertex_count < 0:
+            raise ValueError(f"vertex_count {self.vertex_count!r} is not a nonnegative int")
         seen = set()  # the one edge check
         for i, (u, v) in enumerate(self.edges):
             problem = (f"edge ({u!r}, {v!r}) has an endpoint that is not an int"

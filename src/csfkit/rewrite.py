@@ -13,10 +13,9 @@ from __future__ import annotations
 from dataclasses import dataclass
 from itertools import compress
 
-from .csf import PowerSumPolynomial, chromatic_symmetric_function
+from .csf import PowerSumPolynomial, csf_codes
 from .errors import ResourceLimitError
 from .graph import Graph, _check_edge_indices, _edge_triangles
-from .partitions import Partition
 
 # Triangle splits one reduce_triangle_free call may make, each counted once
 # per 64 triangle edges of the input.  With equal pending graphs merged before
@@ -184,9 +183,8 @@ def combination_csf(c: GraphCombination) -> PowerSumPolynomial:
     n = c.terms[0][1].vertex_count
     if any(g.vertex_count != n for _, g in c.terms):
         raise ValueError("combination mixes vertex counts")
-    total: dict[Partition, int] = {}
+    total: dict[int, int] = {}
     for coeff, g in c.terms:
-        x = chromatic_symmetric_function(g)
-        for p, value in x.terms.items():
-            total[p] = total.get(p, 0) + coeff * value
-    return PowerSumPolynomial(n, total)
+        for code, value in csf_codes(g).items():
+            total[code] = total.get(code, 0) + coeff * value
+    return PowerSumPolynomial.from_codes(n, total)

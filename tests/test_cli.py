@@ -12,6 +12,7 @@ import pytest
 
 from csfkit import (
     Graph,
+    PowerSumPolynomial,
     ThetaTable,
     canonical_tree_code,
     chromatic_symmetric_function,
@@ -242,17 +243,45 @@ def test_equal_across_orders_names_the_first_partition(tmp_path, capsys):
 
 def test_equal_reports_the_first_differing_partition_of_random_pairs(tmp_path, capsys):
     rng = random.Random(29)
-    for _ in range(30):
-        n = rng.randint(3, 7)
+
+    def draw(n: int) -> Graph:
         pairs = list(combinations(range(n), 2))
-        ga, gb = (Graph(n, tuple(sorted(rng.sample(pairs, rng.randint(0, len(pairs))))))
-                  for _ in range(2))
+        return Graph(n, tuple(sorted(rng.sample(pairs, rng.randint(0, len(pairs))))))
+
+    kinds = set()
+    for i in range(60):
+        na = rng.randint(3, 7)
+        nb = na if i % 2 else rng.randint(1, 7)  # odd rounds share one vertex count
+        ga, gb = draw(na), draw(nb)
         xa, xb = chromatic_symmetric_function(ga), chromatic_symmetric_function(gb)
         diff = first_difference(xa, xb)
         want = "EQUAL\n" if diff is None else f"DIFFER at {partition_key(diff[0])}: {diff[1]} vs {diff[2]}\n"
         code, out, _ = run(capsys, ["equal", write_graph(tmp_path, "a.graph", ga),
                                     write_graph(tmp_path, "b.graph", gb)])
         assert (code, out) == (0 if diff is None else 1, want)
+        kinds.add((diff is None, na == nb))
+    assert kinds == {(True, True), (False, True), (False, False)}
+
+
+def test_csf_equal_and_make_pair_build_no_polynomial(tmp_path, capsys, monkeypatch):
+    built = []
+    post_init = PowerSumPolynomial.__post_init__
+
+    def counted(self):
+        built.append(self.degree)
+        post_init(self)
+
+    monkeypatch.setattr(PowerSumPolynomial, "__post_init__", counted)
+    a = write_graph(tmp_path, "a.graph", COLLISION_LEFT6)
+    b = write_graph(tmp_path, "b.graph", COLLISION_RIGHT6)
+    t = write_graph(tmp_path, "t.graph", CHROMATIC_TREE7)
+    assert run(capsys, ["csf", a])[0] == 0
+    assert run(capsys, ["equal", a, b])[:2] == (0, "EQUAL\n")
+    assert run(capsys, ["make-pair", t, "0", t, "3", "--out", str(tmp_path / "pair")])[0] == 0
+    assert built == []
+    # only a DIFFER builds the two polynomials that first_difference scans
+    assert run(capsys, ["equal", a, t])[0] == 1
+    assert built == [6, 7]
 
 
 # ---------------------------------------------------------------------------

@@ -1,5 +1,6 @@
 import random
 from itertools import combinations
+from pathlib import Path
 
 import pytest
 
@@ -11,15 +12,18 @@ from csfkit import (
     count_proper_colorings,
     csf_equal,
     enumerate_trees,
+    enumerate_unicyclic,
     extract_invariants,
     first_difference,
+    parse_graph,
     partition_key,
     specialize,
     structural_report,
 )
+from csfkit.csf import _csf_text, csf_codes
 
 from fixtures import CHROMATIC_TREE7, COLLISION_LEFT6, COLLISION_RIGHT6
-from oracles import first_difference_by_sort, relabelled
+from oracles import _partitions, first_difference_by_sort, relabelled
 
 K2 = Graph(2, ((0, 1),))
 K3 = Graph(3, ((0, 1), (0, 2), (1, 2)))
@@ -272,6 +276,43 @@ def test_polynomial_text_format():
     x = chromatic_symmetric_function(K3)
     assert x.to_text() == "csf n=3\n3 2\n2,1 -3\n1,1,1 1\n"
     assert PowerSumPolynomial.from_text(x.to_text()) == x
+
+
+def descending_text(g: Graph) -> str:
+    """The csf text of g by a route that does not use the writer:
+    ``partition_key`` over the checked partitions sorted in descending order."""
+    x = chromatic_symmetric_function(g)
+    lines = [f"{partition_key(p)} {x.terms[p]}\n" for p in sorted(x.terms, reverse=True)]
+    return "".join([f"csf n={g.vertex_count}\n", *lines])
+
+
+def test_text_writer_matches_the_sorted_partitions():
+    data = sorted((Path(__file__).parent / "data").glob("*.graph"))
+    # every graph there but the two 41-vertex trees, which the work limit refuses
+    graphs = [parse_graph(path.read_text()) for path in data if not path.name.startswith("tree41")]
+    graphs += [t for n in range(1, 10) for t in enumerate_trees(n)]
+    graphs += [g for n in range(3, 9) for g in enumerate_unicyclic(n)]
+    rng = random.Random(24)
+    for _ in range(40):
+        n = rng.randint(5, 9)
+        graphs.append(random_graph(rng, n, n * (n - 1) // 2))  # dense
+        pool = [(u, v) for u, v in combinations(range(n), 2) if (u < n // 2) == (v < n // 2)]
+        graphs.append(Graph(n, tuple(sorted(rng.sample(pool, rng.randint(0, len(pool)))))))  # two sides
+    assert len(graphs) > 300
+    for g in graphs:
+        want = descending_text(g)
+        assert _csf_text(g.vertex_count, csf_codes(g)) == want, g
+        assert chromatic_symmetric_function(g).to_text() == want, g
+    assert _csf_text(0, csf_codes(Graph(0, ()))) == "csf n=0\n 1\n"
+
+
+def test_codes_order_as_their_partitions():
+    # a code counts parts by size, the largest size in the highest digit
+    for n in range(13):
+        parts = sorted(_partitions(n, n))
+        codes = [sum((n + 1) ** (s - 1) for s in p) for p in parts]
+        assert codes == sorted(codes) and len(set(codes)) == len(parts)
+        assert len(parts) == [1, 1, 2, 3, 5, 7, 11, 15, 22, 30, 42, 56, 77][n]
 
 
 def test_polynomial_text_roundtrip():

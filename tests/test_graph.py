@@ -111,6 +111,13 @@ def test_graph_refuses_an_endpoint_that_is_not_an_int(edge):
     assert info.value.edge_index == 1
 
 
+@pytest.mark.parametrize("vertex_count, edges", [(3.0, ((0, 1),)), ("3", ()), (None, ()), (True, ()), (-1, ())])
+def test_graph_refuses_a_vertex_count_that_is_not_a_nonnegative_int(vertex_count, edges):
+    # refused when built, not later by a TypeError from the comparison or the CSF kernel
+    with pytest.raises(ValueError, match=r"vertex_count .* is not a nonnegative int"):
+        Graph(vertex_count, edges)
+
+
 @pytest.mark.parametrize("text, line", [
     ("\u00b3 0\n", 1),  # superscript digits pass str.isdigit but not int()
     ("2 1\n0 \u00b9\n", 2),
