@@ -15,6 +15,7 @@ import argparse
 import functools
 import hashlib
 import sys
+from decimal import Decimal
 
 from .csf import PowerSumPolynomial, _csf_text, csf_codes, csf_value, first_difference
 from .errors import CsfkitError, ResourceLimitError
@@ -36,16 +37,6 @@ def _write_text(path: str, text: str) -> None:
         fh.write(text)
 
 
-def _decimal(x: int) -> str:
-    """Decimal text of x >= 0 at any length, 600 digits at a time: the
-    interpreter refuses to convert more digits than its cap (640 at least)."""
-    chunk, low_digits = 10 ** 600, []
-    while x >= chunk:
-        x, low = divmod(x, chunk)
-        low_digits.append(f"{low:0600d}")
-    return str(x) + "".join(reversed(low_digits))
-
-
 # ---------------------------------------------------------------------------
 # csf / equal
 
@@ -54,10 +45,8 @@ def cmd_csf(args) -> int:
     g, k = _load_graph(args.input), args.chromatic
     if k is None:
         print(_csf_text(g.vertex_count, csf_codes(g)), end="")
-    elif k < 0:
-        raise ValueError("k must be nonnegative")
-    else:  # every p_s becomes k
-        print(_decimal(csf_value(g, [k] * (g.vertex_count + 1))))
+    else:  # every p_s becomes k; a Decimal's text has no digit cap, unlike str(int)
+        print(Decimal(csf_value(g, [k] * (g.vertex_count + 1))))
     return 0
 
 
@@ -173,7 +162,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("csf", help="power-sum expansion or chromatic polynomial value")
     p.add_argument("input", help="edge-list file")
-    p.add_argument("--chromatic", type=int, metavar="K", help="print the k-coloring count")
+    p.add_argument("--chromatic", type=_read_int, metavar="K", help="print the k-coloring count")
 
     p = sub.add_parser("equal", help="compare the CSFs of two graphs")
     p.add_argument("file_a")
@@ -187,9 +176,9 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("make-pair", help="glue two rooted trees into an equal-CSF pair")
     p.add_argument("tree1")
-    p.add_argument("root1", type=int)
+    p.add_argument("root1", type=_read_int)
     p.add_argument("tree2")
-    p.add_argument("root2", type=int)
+    p.add_argument("root2", type=_read_int)
     p.add_argument("--out", required=True, help="output path prefix (_h/_j files)")
 
     p = sub.add_parser("theta", help="print singleton and pair cut data of a tree")
@@ -202,7 +191,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--out", required=True, help="output edge-list file")
 
     p = sub.add_parser("search", help="enumerate a class and group equal-CSF graphs")
-    p.add_argument("--n", type=int, required=True)
+    p.add_argument("--n", type=_read_int, required=True)
     p.add_argument("--class", dest="graph_class", required=True,
                    choices=["tree", "unicyclic"])
 

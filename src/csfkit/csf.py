@@ -345,13 +345,15 @@ def _set_partition_dp(order: list[int], adj, codes: bool, budget: int):
 
     c({v}) = 1 and, for |B| >= 2, c(B) = -sum c(B') over proper B' < B with
     min(B) in B' and B - B' independent, since the signed count of all edge
-    subsets of G[B] is [G[B] has no edge]; a leaf of G[B] other than min(B)
-    settles it at once, as its one edge lies in every connected spanning
+    subsets of G[B] is [G[B] has no edge]; a leaf l of G[B] settles it at
+    once, c(B) = -c(B - l), as its one edge lies in every connected spanning
     subset.  Then X = h(V) with
     h(R) = sum over connected B containing min(R) of c(B) mult[|B|] p_|B| h(R - B),
-    run forward with the remaining sets R grouped by their least vertex.  Both
-    read at least vertex i only sets whose least vertex is i, so they run one
-    i at a time, and the remainder "every vertex >= i" reuses c's sets.
+    run forward with the remaining sets R grouped by their least vertex.  The
+    scan reads at least vertex i only sets whose least vertex is i, and the
+    leaf rule at l = min(B) one whose least vertex is larger, so c runs one i
+    at a time from the largest, before h runs one i at a time from 0; the
+    remainder "every vertex >= i" reuses c's sets.
     The bound is counted on those sets, listed up front and kept for the DP,
     and stops above the budget: each weighs |B| for the leaf test, or with no
     leaf the 2^(|B|-1) subsets of B holding min(B) that c's scan may visit,
@@ -373,7 +375,7 @@ def _set_partition_dp(order: list[int], adj, codes: bool, budget: int):
     for i in range(k):
         low, sets, leaves, weight = 1 << i, [], {}, weights[i]
         for b in _connected_sets(nbr, low, full & -low):
-            rest, size = b ^ low, b.bit_count()
+            rest, size = b, b.bit_count()
             while rest:
                 leaf = rest & -rest
                 if (nbr[leaf.bit_length() - 1] & b).bit_count() == 1:
@@ -388,11 +390,11 @@ def _set_partition_dp(order: list[int], adj, codes: bool, budget: int):
         plan.append((sets, leaves))
 
     def run(pw: list[int], mult: list[int]) -> dict[int, int]:
-        pending: list = [{} for _ in range(k + 1)]  # index -1 is k: R empty
-        pending[0][full] = {0: 1}
-        for i, (sets, leaves) in enumerate(plan):
+        c = {}
+        for i in reversed(range(k)):
+            sets, leaves = plan[i]
             low = 1 << i
-            c = {low: 1}
+            c[low] = 1
             for b in sets[1:]:
                 if leaf := leaves.get(b):
                     c[b] = -c[b ^ leaf]
@@ -408,6 +410,10 @@ def _set_partition_dp(order: list[int], adj, codes: bool, budget: int):
                         cand ^= bit
                         stack.append((chosen | bit, cand & ~nbr[bit.bit_length() - 1]))
                 c[b] = -total
+        pending: list = [{} for _ in range(k + 1)]  # index -1 is k: R empty
+        pending[0][full] = {0: 1}
+        for i, (sets, _) in enumerate(plan):
+            low = 1 << i
             for r, poly in pending[i].items():
                 for b in sets if r == full & -low else _connected_sets(nbr, low, r):
                     rest = r ^ b

@@ -21,7 +21,7 @@ from itertools import chain, combinations
 
 from .errors import InconsistentDataError, ResourceLimitError, TwoCentroidError
 from .graph import Graph, _check_edge_indices, pi_type, require_tree
-from .partitions import Partition, _is_partition, _read_int, parse_partition_key, partition_key, rearrange
+from .partitions import _NATURAL, Partition, _is_partition, parse_partition_key, partition_key, rearrange
 
 # Largest C(m, 2) * n a cut table may take, since each of its C(m, 2) pair
 # images costs O(n): theta_tables runs a 301-vertex tree (13,499,850; 4-7 s on
@@ -103,12 +103,11 @@ class ThetaTable:
         lines = [ln for ln in text.splitlines() if ln.strip()]
         if not lines or not lines[0].startswith("theta "):
             raise ValueError("missing 'theta n=<n> m=<m>' header")
-        toks = lines[0].split()
-        try:
-            n = _read_int(toks[1].removeprefix("n="))
-            m = _read_int(toks[2].removeprefix("m="))
-        except (IndexError, ValueError):
-            raise ValueError(f"malformed header {lines[0]!r}") from None
+        toks = lines[0].split()  # exactly "theta n=<n> m=<m>", each integer under the one rule
+        if len(toks) != 3 or toks[1][:2] != "n=" or toks[2][:2] != "m=" or not all(
+                _NATURAL.fullmatch(tok[2:]) for tok in toks[1:]):
+            raise ValueError(f"malformed header {lines[0]!r}")
+        n, m = (int(tok[2:]) for tok in toks[1:])
         _check_cut_work(n, m)
         singletons: dict[str, Partition] = {}
         pair_rows: list[tuple[str, str, Partition]] = []

@@ -7,6 +7,8 @@ rather than a silent change of subject.
 
 from __future__ import annotations
 
+from itertools import combinations
+
 from csfkit import Graph, ThetaTable, parse_partition_key
 
 # 7-vertex tree whose chromatic polynomial is k(k-1)^6.
@@ -153,3 +155,10 @@ TRIANGLE_DEMO_B_INDICES = (3, 0, 4)  # e1 = (1,3), e2 = (0,1), e3 = (0,3)
 # an isolated vertex.
 PENTAGON = Graph(5, ((0, 1), (1, 2), (2, 4), (3, 4), (0, 3)))
 PENTAGON_WEDGE = (3, 2)  # e1 = (3,4), e2 = (2,4), shared vertex 4
+
+
+def path_with_k4(n: int) -> Graph:
+    """A path from vertex 0 ending in a K4 on its last four vertices: in the
+    breadth-first order from 0, every set along the path has its least vertex
+    as its only leaf.  Its k-colourings number k(k-1)(k-2)(k-3)(k-1)^(n-4)."""
+    return Graph(n, tuple(sorted({(v, v + 1) for v in range(n - 4)} | set(combinations(range(n - 4, n), 2)))))

@@ -369,8 +369,8 @@ def sparse_merge_pairs(g: Graph) -> tuple[int, int]:
 def set_partition_steps(g: Graph, codes: bool) -> int:
     """Steps the set-partition DP of ``csfkit.csf`` takes on a connected g with
     its vertices in breadth-first order from 0: one per independent subset of
-    B - min(B) that c's scan visits, for each connected B with no vertex but
-    min(B) of degree 1 in G[B], and, for each remaining set R and connected
+    B - min(B) that c's scan visits, for each connected B with no vertex of
+    degree 1 in G[B], and, for each remaining set R and connected
     B inside R holding min(R), one per size multiset (one value without
     codes) that R's map holds, each found here by brute force over subsets."""
     order = _components(g.adjacency, [-1] * g.vertex_count)[0]
@@ -378,9 +378,9 @@ def set_partition_steps(g: Graph, codes: bool) -> int:
     nbr = [{index[w] for w in g.adjacency[v]} for v in order]
 
     def connected(block: tuple[int, ...]) -> bool:
-        seen, stack = {block[0]}, [block[0]]
+        seen, stack, inside = {block[0]}, [block[0]], set(block)
         while stack:
-            for w in nbr[stack.pop()] & set(block):
+            for w in nbr[stack.pop()] & inside:
                 if w not in seen:
                     seen.add(w)
                     stack.append(w)
@@ -389,7 +389,7 @@ def set_partition_steps(g: Graph, codes: bool) -> int:
     steps = 0
     for size in range(2, k + 1):
         for block in filter(connected, combinations(range(k), size)):
-            if all(len(nbr[v] & set(block)) != 1 for v in block[1:]):
+            if all(len(nbr[v].intersection(block)) != 1 for v in block):
                 steps += sum(all(w not in nbr[v] for v, w in combinations(sub, 2))
                              for r in range(size) for sub in combinations(block[1:], r))
     pending = {tuple(range(k)): {()}}

@@ -39,6 +39,7 @@ from fixtures import (
     NEAR_MISS_RIGHT15,
     TWO_CENTROID_PAIR14_LEFT,
     cut_table13,
+    path_with_k4,
 )
 from oracles import forest_csf, unicyclic_canonical_key
 
@@ -84,9 +85,10 @@ def test_csf_chromatic_equals_brute_force_colorings(tmp_path, capsys, g):
 
 def test_csf_chromatic_errors(tmp_path, capsys):
     path = write_graph(tmp_path, "c6.graph", COLLISION_LEFT6)
-    code, out, err = run(capsys, ["csf", path, "--chromatic", "-1"])
-    assert (code, out) == (3, "")
-    assert "nonnegative" in err
+    with pytest.raises(SystemExit) as info:  # a negative K is a usage error, as "abc" is
+        main(["csf", path, "--chromatic", "-1"])
+    assert info.value.code == 2
+    assert capsys.readouterr().out == ""
     # --chromatic runs paths of thousands of vertices; K16's set-partition DP is refused
     path = write_graph(tmp_path, "k16.graph", Graph(16, tuple(combinations(range(16), 2))))
     code, out, err = run(capsys, ["csf", path, "--chromatic", "3"])
@@ -103,7 +105,7 @@ def six_times_a_power_of_three(exponent: int) -> str:
 
 
 @pytest.mark.parametrize("text, k, want", [
-    # 10^n: a one and n zeros, across the writer's 600-digit chunks
+    # 10^n: a one and n zeros
     ("600 0\n", 10, "1" + "0" * 600),
     ("1201 0\n", 10, "1" + "0" * 1201),
     # a triangle and 9,015 isolated vertices: 6 * 3^9015, 4,303 digits, past the
@@ -116,6 +118,28 @@ def test_csf_chromatic_prints_every_digit(tmp_path, capsys, text, k, want):
     limit = sys.get_int_max_str_digits()
     assert (run(capsys, ["csf", str(path), "--chromatic", str(k)])) == (0, want + "\n", "")
     assert sys.get_int_max_str_digits() == limit
+
+
+@pytest.mark.skipif(not hasattr(sys, "set_int_max_str_digits"), reason="no cap on int-to-text conversion")
+def test_csf_chromatic_prints_every_digit_under_the_lowest_cap(tmp_path, capsys):
+    # 3^10000 from 10,000 isolated vertices: 4,772 digits, under a cap of 640
+    path = tmp_path / "isolated.graph"
+    path.write_text("10000 0\n", encoding="ascii")
+    limit = sys.get_int_max_str_digits()
+    try:
+        sys.set_int_max_str_digits(0)
+        want = f"{3 ** 10000}\n"
+        sys.set_int_max_str_digits(640)
+        got = run(capsys, ["csf", str(path), "--chromatic", "3"])
+    finally:
+        sys.set_int_max_str_digits(limit)
+    assert got == (0, want, "")
+
+
+def test_csf_chromatic_runs_a_path_ending_in_a_k4_at_21_vertices(tmp_path, capsys):
+    # every set along the path has its least vertex as its only leaf, which settles c(B)
+    path = write_graph(tmp_path, "g.graph", path_with_k4(21))
+    assert run(capsys, ["csf", path, "--chromatic", "5"]) == (0, f"{120 * 4 ** 17}\n", "")
 
 
 def test_csf_poly_k2(tmp_path, capsys):
@@ -205,6 +229,23 @@ def test_usage_error_exit_code(tmp_path):
     with pytest.raises(SystemExit) as info:
         main(["csf"])  # missing input
     assert info.value.code == 2
+
+
+@pytest.mark.parametrize("argv", [
+    ["search", "--n", "1_0", "--class", "tree"],
+    ["search", "--n", "\u0661\u0660", "--class", "tree"],
+    ["csf", "{t}", "--chromatic", " +3"],
+    ["make-pair", "{t}", "0_1", "{t}", "1", "--out", "{out}"],
+], ids=["underscore", "arabic-indic", "sign-and-space", "root-underscore"])
+def test_integer_arguments_read_ascii_digits_only(tmp_path, capsys, argv):
+    # int() alone reads each of these; the one rule for an integer read from text refuses them
+    t = write_graph(tmp_path, "t.graph", Graph(2, ((0, 1),)))
+    with pytest.raises(SystemExit) as info:
+        main([arg.format(t=t, out=tmp_path / "pair") for arg in argv])
+    assert info.value.code == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert "Traceback" not in captured.err
 
 
 # ---------------------------------------------------------------------------

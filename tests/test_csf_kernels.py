@@ -31,6 +31,7 @@ from csfkit import csf
 from csfkit.csf import csf_codes, csf_value
 from csfkit.graph import _components
 
+from fixtures import path_with_k4
 from oracles import (_partitions, cycle_vertices_by_stripping, relabelled, set_partition_steps,
                      sparse_merge_pairs, subset_csf, unicyclic_canonical_key)
 
@@ -303,6 +304,16 @@ def test_set_partition_bound_covers_its_steps():
     for g in graphs:
         for codes in (True, False):
             assert set_partition_bound(g, codes) >= set_partition_steps(g, codes), (g, codes)
+    # the leaf rule at a least vertex keeps the scan off these sets; codes refuse 19 vertices
+    for n in range(8, 21):
+        for codes in (True, False) if n < 19 else (False,):
+            g = path_with_k4(n)
+            assert set_partition_bound(g, codes) >= set_partition_steps(g, codes), (n, codes)
+    assert [set_partition_bound(path_with_k4(n), False) for n in (20, 21)] == [1_051_037, 2_099_934]
+    with pytest.raises(ResourceLimitError):
+        set_partition_bound(path_with_k4(19), True)
+    with pytest.raises(ResourceLimitError):
+        set_partition_bound(path_with_k4(22), False)
 
 
 def test_set_partition_weights_count_partitions_into_at_most_i_parts():

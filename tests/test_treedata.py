@@ -684,9 +684,11 @@ def test_theta_table_text_errors():
 
 
 @pytest.mark.parametrize("header", ["theta n=+3 m=2", "theta n=3 m=0_2", "theta n=+3 m=0_2",
-                                    "theta n=\u0663 m=2", "theta n=3 m=-2"])
+                                    "theta n=\u0663 m=2", "theta n=3 m=-2",
+                                    "theta 3 2", "theta n=3 m=2 junk", "theta m=2 n=3"])
 def test_theta_table_header_reads_ascii_digits_only(header):
-    # the same table is read under "theta n=3 m=2"; int() alone reads "+3" as 3 and "0_2" as 2
+    # the same table is read under "theta n=3 m=2"; int() alone reads "+3" as 3 and "0_2" as 2,
+    # and the header is read whole: bare numbers, a fourth token or m before n are refused
     body = "a 2,1\nb 2,1\na b 1,1,1\n"
     assert ThetaTable.from_text(f"theta n=3 m=2\n{body}").m == 2
     with pytest.raises(ValueError, match="malformed header"):
