@@ -13,17 +13,16 @@ from __future__ import annotations
 
 import argparse
 import functools
-import hashlib
 import sys
-from decimal import Decimal
 
+# The layers are imported here; a module only one command needs (search, hashlib,
+# decimal) is imported in that command, so other commands do not load it.
 from .csf import PowerSumPolynomial, _csf_text, csf_codes, csf_value, first_difference
 from .errors import CsfkitError, ResourceLimitError
 from .graph import Graph, parse_graph
 from .pairgen import RootedTree, glue_rooted_trees
 from .partitions import _read_int, partition_key
 from .rewrite import path_split, reduce_triangle_free, triangle_split, wedge_split
-from .search import run_search
 from .treedata import ThetaTable, reconstruct_from_pairs, reconstruct_from_theta, theta_tables
 
 
@@ -37,6 +36,14 @@ def _write_text(path: str, text: str) -> None:
         fh.write(text)
 
 
+def _natural(text: str) -> int:
+    """An integer argument read by the one rule; its refusal is the usage error."""
+    try:
+        return _read_int(text)
+    except ValueError as exc:
+        raise argparse.ArgumentTypeError(str(exc)) from None
+
+
 # ---------------------------------------------------------------------------
 # csf / equal
 
@@ -46,6 +53,7 @@ def cmd_csf(args) -> int:
     if k is None:
         print(_csf_text(g.vertex_count, csf_codes(g)), end="")
     else:  # every p_s becomes k; a Decimal's text has no digit cap, unlike str(int)
+        from decimal import Decimal
         print(Decimal(csf_value(g, [k] * (g.vertex_count + 1))))
     return 0
 
@@ -97,6 +105,7 @@ def cmd_decompose(args) -> int:
 
 
 def cmd_make_pair(args) -> int:
+    import hashlib
     t1 = RootedTree(_load_graph(args.tree1), args.root1)
     t2 = RootedTree(_load_graph(args.tree2), args.root2)
     h, j = glue_rooted_trees(t1, t2)
@@ -135,6 +144,7 @@ def cmd_reconstruct(args) -> int:
 
 
 def cmd_search(args) -> int:
+    from .search import run_search
     report = run_search(args.n, args.graph_class)
     print(f"search class={report.graph_class} n={report.n}")
     print(f"graphs={report.graph_count}")
@@ -162,7 +172,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("csf", help="power-sum expansion or chromatic polynomial value")
     p.add_argument("input", help="edge-list file")
-    p.add_argument("--chromatic", type=_read_int, metavar="K", help="print the k-coloring count")
+    p.add_argument("--chromatic", type=_natural, metavar="K", help="print the k-coloring count")
 
     p = sub.add_parser("equal", help="compare the CSFs of two graphs")
     p.add_argument("file_a")
@@ -176,9 +186,9 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("make-pair", help="glue two rooted trees into an equal-CSF pair")
     p.add_argument("tree1")
-    p.add_argument("root1", type=_read_int)
+    p.add_argument("root1", type=_natural)
     p.add_argument("tree2")
-    p.add_argument("root2", type=_read_int)
+    p.add_argument("root2", type=_natural)
     p.add_argument("--out", required=True, help="output path prefix (_h/_j files)")
 
     p = sub.add_parser("theta", help="print singleton and pair cut data of a tree")
@@ -191,7 +201,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--out", required=True, help="output edge-list file")
 
     p = sub.add_parser("search", help="enumerate a class and group equal-CSF graphs")
-    p.add_argument("--n", type=_read_int, required=True)
+    p.add_argument("--n", type=_natural, required=True)
     p.add_argument("--class", dest="graph_class", required=True,
                    choices=["tree", "unicyclic"])
 

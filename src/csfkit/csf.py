@@ -33,7 +33,7 @@ from math import comb, isqrt
 from operator import add, mul
 
 from .errors import ResourceLimitError
-from .graph import Graph, _components, _reroot_on_cycle, is_forest
+from .graph import Graph, _components, _reroot_on_cycle
 from .partitions import Partition, _is_partition, _read_int, parse_partition_key, partition_key
 
 # Steps one graph may take, a step being one dictionary update or one set c's
@@ -522,18 +522,6 @@ def _csf_text(n: int, codes: dict[int, int]) -> str:
 def chromatic_symmetric_function(g: Graph) -> PowerSumPolynomial:
     """Exact power-sum expansion of X_G, one structured kernel per component."""
     return PowerSumPolynomial.from_codes(g.vertex_count, csf_codes(g))
-
-
-def forest_type_counts(f: Graph) -> dict[Partition, int]:
-    """For each partition, the number of edge subsets of that type.
-
-    Forests only: there every subset of a given type has the same size, so
-    these counts are X_F's coefficients in absolute value, under the work limit.
-    """
-    if not is_forest(f):
-        raise ValueError("forest_type_counts requires a forest")
-    x = chromatic_symmetric_function(f)
-    return {p: abs(coeff) for p, coeff in x.terms.items()}
 
 
 def specialize(x: PowerSumPolynomial, k: int) -> int:

@@ -177,11 +177,6 @@ def pi_type(g: Graph, edge_indices: Iterable[int]) -> Partition:
     return tuple(sorted(map(len, _components(adj, [-1] * g.vertex_count)), reverse=True))
 
 
-def is_forest(g: Graph) -> bool:
-    """No cycles: every component has one more vertex than it has edges."""
-    return len(_components(g.adjacency, [-1] * g.vertex_count)) == g.vertex_count - g.edge_count
-
-
 def require_tree(g: Graph, what: str = "operation", root: int = 0) -> tuple[list[int], list[int]]:
     """Breadth-first (order, parent) of the tree g from root, by one ``_bfs``:
     NotATreeError unless g has n >= 1 vertices, n - 1 edges and the pass

@@ -15,6 +15,7 @@ tree equal the input table, entry by entry.
 
 from __future__ import annotations
 
+from collections import Counter
 from dataclasses import dataclass
 from functools import cached_property
 from itertools import chain, combinations
@@ -61,15 +62,14 @@ class ThetaTable:
                 raise ValueError(f"singleton image of {label} must be a 2-part partition of {self.n}")
         # Dict keys are distinct, so the right count of keys that are each two
         # known labels in label order covers every pair exactly once.
-        m = len(labels)
-        position = self._position
-        if len(self.pairs) != m * (m - 1) // 2 or not all(
-            isinstance(pair, tuple) and len(pair) == 2
-            and position.get(pair[0], m) < position.get(pair[1], -1)
-            for pair in self.pairs
-        ):
-            raise ValueError("pair images must cover every unordered label pair exactly")
+        m, position = len(labels), self._position
+        cover = "pair images must cover every unordered label pair exactly"
+        if len(self.pairs) != m * (m - 1) // 2:
+            raise ValueError(cover)
         for pair, img in self.pairs.items():
+            if not (isinstance(pair, tuple) and len(pair) == 2
+                    and position.get(pair[0], m) < position.get(pair[1], -1)):
+                raise ValueError(cover)
             if not _is_partition(img, 3, self.n):
                 raise ValueError(f"pair image of {pair} must be a 3-part partition of {self.n}")
         if m != self.n - 1:
@@ -110,38 +110,28 @@ class ThetaTable:
         n, m = (int(tok[2:]) for tok in toks[1:])
         _check_cut_work(n, m)
         singletons: dict[str, Partition] = {}
-        pair_rows: list[tuple[str, str, Partition]] = []
-        labels: list[str] = []
-        seen: set[str] = set()
-
-        def note(label: str) -> None:
-            if label not in seen:
-                seen.add(label)
-                labels.append(label)
-
-        for ln in lines[1:]:
-            toks = ln.split()
-            if len(toks) == 2:
-                note(toks[0])
-                if toks[0] in singletons:
-                    raise ValueError(f"duplicate singleton line for {toks[0]}")
-                singletons[toks[0]] = parse_partition_key(toks[1])
-            elif len(toks) == 3:
-                note(toks[0])
-                note(toks[1])
-                pair_rows.append((toks[0], toks[1], parse_partition_key(toks[2])))
-            else:
-                raise ValueError(f"malformed theta line {ln!r}")
-        if len(labels) != m and not (m == 0 and not labels):
-            raise ValueError(f"header says m={m} but {len(labels)} labels appear")
-        order = {lab: i for i, lab in enumerate(labels)}
         pairs: dict[tuple[str, str], Partition] = {}
-        for a, b, img in pair_rows:
-            key = (a, b) if order[a] < order[b] else (b, a)
-            if key in pairs:
-                raise ValueError(f"duplicate pair line for {key}")
-            pairs[key] = img
-        return cls(n=n, edge_labels=tuple(labels), singletons=singletons, pairs=pairs)
+        order: dict[str, int] = {}  # each label numbered where it first appears
+        for ln in lines[1:]:
+            *names, key = ln.split()
+            if not 1 <= len(names) <= 2:
+                raise ValueError(f"malformed theta line {ln!r}")
+            for label in names:
+                order.setdefault(label, len(order))
+            img = parse_partition_key(key)
+            if len(names) == 1:
+                if names[0] in singletons:
+                    raise ValueError(f"duplicate singleton line for {names[0]}")
+                singletons[names[0]] = img
+            else:
+                a, b = names
+                pair = (a, b) if order[a] < order[b] else (b, a)
+                if pair in pairs:
+                    raise ValueError(f"duplicate pair line for {pair}")
+                pairs[pair] = img
+        if len(order) != m:
+            raise ValueError(f"header says m={m} but {len(order)} labels appear")
+        return cls(n=n, edge_labels=tuple(order), singletons=singletons, pairs=pairs)
 
 
 # ---------------------------------------------------------------------------
@@ -288,13 +278,14 @@ def _check_realized(tree: Graph, label_to_index: dict[str, int], tbl: ThetaTable
     """InconsistentDataError naming the first entry, singleton images
     ``singles`` first and then the table's pairs, that differs from the
     rebuilt tree's cut image."""
-    got_singles, pairs = _cut_images(tree)
-    rows = [(f"edge {a}", got_singles[label_to_index[a]], singles[a]) for a in tbl.edge_labels]
-    for a, b in combinations(tbl.edge_labels, 2):
-        i, j = sorted((label_to_index[a], label_to_index[b]))
-        rows.append((f"pair ({a}, {b})", pairs[i, j], tbl.pairs[a, b]))
-    for entry, got, img in rows:
+    got_singles, got_pairs = _cut_images(tree)
+    placed = [(a, label_to_index[a]) for a in tbl.edge_labels]
+    # a singleton entry is walked as its label paired with itself
+    for (a, i), (b, j) in chain(zip(placed, placed), combinations(placed, 2)):
+        got, img = ((got_singles[i], singles[a]) if a == b
+                    else (got_pairs[(i, j) if i < j else (j, i)], tbl.pairs[a, b]))
         if got != img:
+            entry = f"edge {a}" if a == b else f"pair ({a}, {b})"
             raise InconsistentDataError(
                 f"no tree realizes this data: {entry} rebuilt with cut {got}, table says {img}"
             )
@@ -314,19 +305,17 @@ def singletons_from_pairs(tbl: ThetaTable) -> dict[str, Partition]:
     if n <= 4:
         return {label: (n - 1, 1) for label in tbl.edge_labels}
     cut = (n - 2, 1, 1)
-    leaves = {label for label in tbl.edge_labels
-              if sum(1 for other in tbl.edge_labels
-                     if other != label and tbl.pair(label, other) == cut) >= 2}
+    hits = Counter(label for pair, img in tbl.pairs.items() if img == cut for label in pair)
+    leaves = {label for label, count in hits.items() if count >= 2}
     if not leaves:
         raise InconsistentDataError("no leaf edges detectable; data is unrealizable")
-    singles: dict[str, Partition] = {}
-    for label in tbl.edge_labels:
-        if label in leaves:
-            singles[label] = (n - 1, 1)
-        else:
-            a = max(max(tbl.pair(label, leaf)) for leaf in leaves if leaf != label)
-            singles[label] = (a, n - a)
-    return singles
+    big: dict[str, int] = {}  # a non-leaf's largest part among its pair images with leaf edges
+    for (a, b), img in tbl.pairs.items():
+        for label, other in ((a, b), (b, a)):
+            if other in leaves and img[0] > big.get(label, 0):
+                big[label] = img[0]
+    return {label: (n - 1, 1) if label in leaves else (big[label], n - big[label])
+            for label in tbl.edge_labels}
 
 
 def reconstruct_from_pairs(tbl: ThetaTable) -> tuple[Graph, dict[str, int]]:

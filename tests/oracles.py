@@ -24,6 +24,8 @@ difference of two functions is found by sorting every partition either one
 names and scanning them in descending order.  ``relabelled``
 gives a graph a seeded vertex permutation and edge order, so a fast path is
 also checked off the labelling its input was generated in.
+``forest_type_counts`` is no second route: it reads a forest's edge subsets
+by type off X_F, whose coefficients they are up to sign.
 """
 
 from __future__ import annotations
@@ -166,6 +168,23 @@ def subset_csf(g: Graph) -> PowerSumPolynomial:
         key = component_orders(g.vertex_count, [e for i, e in enumerate(g.edges) if mask >> i & 1])
         terms[key] = terms.get(key, 0) + (-1 if mask.bit_count() & 1 else 1)
     return PowerSumPolynomial(g.vertex_count, {k: c for k, c in terms.items() if c})
+
+
+def is_forest(g: Graph) -> bool:
+    """No cycles: every component has one more vertex than it has edges."""
+    return len(component_orders(g.vertex_count, g.edges)) == g.vertex_count - g.edge_count
+
+
+def forest_type_counts(f: Graph) -> dict[tuple[int, ...], int]:
+    """For each partition, the number of edge subsets of that type.
+
+    Forests only: there every subset of a given type has the same size, so
+    these counts are X_F's coefficients in absolute value, under the work limit.
+    """
+    if not is_forest(f):
+        raise ValueError("forest_type_counts requires a forest")
+    x = chromatic_symmetric_function(f)
+    return {p: abs(coeff) for p, coeff in x.terms.items()}
 
 
 # ---------------------------------------------------------------------------

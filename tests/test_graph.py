@@ -24,7 +24,7 @@ from csfkit import (
 )
 from csfkit import graph
 from csfkit.graph import (_bfs, _components, _hanging_trees, _reroot_on_cycle, _tree_centers, cycle_vertices,
-                          is_forest, require_tree, rooted_code)
+                          require_tree, rooted_code)
 
 from fixtures import (
     ATTRACTION_TREE17,
@@ -44,6 +44,7 @@ from oracles import (
     component_orders,
     cycle_vertices_by_stripping,
     girth_by_edge_removal,
+    is_forest,
     matching_counts_by_recursion,
     relabelled,
 )

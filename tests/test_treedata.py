@@ -20,7 +20,6 @@ from csfkit import (
     chromatic_symmetric_function,
     csf_equal,
     enumerate_trees,
-    forest_type_counts,
     partition_key,
     path_split,
     pi_type,
@@ -52,7 +51,7 @@ from fixtures import (
     TWO_CENTROID_PAIR14_SPOTS,
     cut_table13,
 )
-from oracles import attracts_by_paths, prufer_tree, relabelled
+from oracles import attracts_by_paths, forest_type_counts, prufer_tree, relabelled
 
 P3 = Graph(3, ((0, 1), (1, 2)))
 STAR4 = Graph(4, ((0, 1), (0, 2), (0, 3)))
@@ -676,11 +675,35 @@ def test_theta_table_text_roundtrip():
     assert pairs_only.pairs == tbl.pairs
 
 
+def swapped(line: str) -> str:
+    a, b, img = line.split()
+    return f"{b} {a} {img}"
+
+
+@pytest.mark.parametrize("with_singletons, arrange", [
+    pytest.param(True, lambda singles, pairs: [*pairs, *singles], id="pairs-before-singletons"),
+    pytest.param(True, lambda singles, pairs: [*singles, *pairs[::-1]], id="pairs-reversed"),
+    pytest.param(True, lambda singles, pairs: [*singles, *map(swapped, pairs)], id="pair-labels-swapped"),
+    pytest.param(False, lambda singles, pairs: pairs, id="labels-first-seen-in-pairs"),
+])
+def test_theta_table_reads_lines_in_any_order(with_singletons, arrange):
+    # labels are numbered where they first appear, and each pair key is put in
+    # that order as its line is read
+    tbl = theta_tables(CUT_TABLE13_TREE)
+    if not with_singletons:
+        tbl = replace(tbl, singletons={})
+    head, *body = tbl.to_text().splitlines()
+    singles = [ln for ln in body if len(ln.split()) == 2]
+    pairs = [ln for ln in body if len(ln.split()) == 3]
+    assert ThetaTable.from_text("\n".join([head, *arrange(singles, pairs)])) == tbl
+
+
 def test_theta_table_text_errors():
     with pytest.raises(ValueError):
         ThetaTable.from_text("nope")
-    with pytest.raises(ValueError):
-        ThetaTable.from_text("theta n=3 m=2\na 2,1\nb 2,1\na b 1,1,1\na b 1,1,1")
+    for repeated in ("a b 1,1,1", "b a 1,1,1"):  # the key is ordered before it is looked up
+        with pytest.raises(ValueError, match=r"duplicate pair line for \('a', 'b'\)"):
+            ThetaTable.from_text(f"theta n=3 m=2\na 2,1\nb 2,1\na b 1,1,1\n{repeated}")
 
 
 @pytest.mark.parametrize("header", ["theta n=+3 m=2", "theta n=3 m=0_2", "theta n=+3 m=0_2",
